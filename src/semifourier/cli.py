@@ -101,6 +101,8 @@ def _emit(report: Report, args) -> None:
 
 def _cmd_spectrum(args) -> int:
     cfg = _config(args)
+    if args.trunc < 1:
+        raise SemiFourierError(f"--N must be a positive integer, got {args.trunc}")
     rows = [{"m": m, "eigenvalue": eigenvalue(cfg, m)} for m in range(1, args.trunc + 1)]
     _emit(Report("spectrum", cfg, {"modes": args.trunc}, rows), args)
     return 0

@@ -25,8 +25,9 @@ from .ladder import _check_ladder_index, leftdef_inner, scaled_basis
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _require_finite,
+    _values_on,
     composite_rule,
-    integrate,
     l2_inner,
 )
 from .spectral import (
@@ -109,12 +110,8 @@ def classical_coeffs(f, N: int, cfg: SpectralConfig,
         return CoeffVector(cfg, np.array(a, dtype=complex), np.array(b, dtype=complex))
 
     nodes, weights = composite_rule(cfg, spec)
-    fe = derivative_evaluator(f, 0)
-    values = np.asarray(fe(nodes))
-    if values.shape != nodes.shape:
-        values = np.asarray([fe(float(t)) for t in nodes])
-    if not np.all(np.isfinite(values)):
-        raise SemiFourierError("function values not finite on the quadrature grid")
+    values = _values_on(derivative_evaluator(f, 0), nodes)
+    _require_finite(values, nodes)
     wf = weights * values
     a = np.empty(N, dtype=complex)
     b = np.empty(N, dtype=complex)

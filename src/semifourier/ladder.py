@@ -42,7 +42,13 @@ from .errors import (
     SemiFourierError,
     TruncationMismatchError,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate, l2_inner
+from .quadrature import (
+    DEFAULT_QUADRATURE,
+    QuadratureSpec,
+    _grid_values,
+    _weighted_sum,
+    l2_inner,
+)
 from .spectral import (
     Branch,
     Mode,
@@ -52,7 +58,6 @@ from .spectral import (
     basis_polynomial,
     boundary_antisymmetry_defect,
     derivative_bound,
-    derivative_evaluator,
     eigenvalue,
     require_derivatives,
 )
@@ -99,13 +104,6 @@ def _check_power(r: float) -> float:
     return float(r)
 
 
-def _product_integrand(fe, ge):
-    def integrand(x):
-        return np.asarray(fe(x)) * np.conjugate(np.asarray(ge(x)))
-
-    return integrand
-
-
 def leftdef_inner(f, g, n: int, cfg: SpectralConfig,
                   spec: QuadratureSpec = DEFAULT_QUADRATURE, *,
                   force_quadrature: bool = False) -> complex:
@@ -130,11 +128,32 @@ def leftdef_inner(f, g, n: int, cfg: SpectralConfig,
 
     require_derivatives(f, n)
     require_derivatives(g, n)
-    total = 0j
+    return _ladder_matrix([f], [g], n, cfg, spec)[0][0]
+
+
+def _grid_norm_sq(f, order: int, cfg: SpectralConfig, spec: QuadratureSpec):
+    """Quadrature of |f^(order)|^2."""
+    top = _grid_values(f, order, cfg, spec)
+    return _weighted_sum(top * np.conjugate(top), cfg, spec)
+
+
+def _ladder_matrix(fs: list, gs: list, n: int, cfg: SpectralConfig,
+                   spec: QuadratureSpec) -> list[list[complex]]:
+    """(f_p, g_q)_n by quadrature for every pair, one derivative order at a time.
+
+    Entry (p, q) is sum_j C(n, j) k**(n-j) * integral f_p^(j) conj(g_q^(j)),
+    accumulated in ascending j.  Each function's grid values are taken once
+    per order, not per pair, and only one order's values are held at once,
+    so the working set stays a few dozen node vectors.
+    """
+    total = [[0j] * len(gs) for _ in fs]
     for j in range(n + 1):
         weight = math.comb(n, j) * cfg.k ** (n - j)
-        integrand = _product_integrand(derivative_evaluator(f, j), derivative_evaluator(g, j))
-        total += weight * complex(integrate(integrand, cfg, spec))
+        g_conj = [np.conjugate(_grid_values(g, j, cfg, spec)) for g in gs]
+        for row, f in zip(total, fs):
+            f_values = _grid_values(f, j, cfg, spec)
+            for q, g_values in enumerate(g_conj):
+                row[q] += weight * complex(_weighted_sum(f_values * g_values, cfg, spec))
     return total
 
 
@@ -359,14 +378,11 @@ def operator_matrix(n: int, N: int, cfg: SpectralConfig,
     modes = mode_sequence(N)
     scaled = [scaled_basis(mode, n, cfg) for mode in modes]
     shifted = [apply_ell(z) for z in scaled]
-    size = len(modes)
-    out = np.empty((size, size), dtype=float)
-    for p in range(size):
-        for q in range(size):
-            value = leftdef_inner(shifted[p], scaled[q], n, cfg, spec,
-                                  force_quadrature=force_quadrature)
-            out[p, q] = value.real
-    return out
+    if force_quadrature:
+        entries = _ladder_matrix(shifted, scaled, n, cfg, spec)
+    else:
+        entries = [[leftdef_inner(f, g, n, cfg, spec) for g in scaled] for f in shifted]
+    return np.array([[value.real for value in row] for row in entries], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -390,9 +406,8 @@ def in_v_space(f, n: int, cfg: SpectralConfig,
     for j in range(n):
         if boundary_antisymmetry_defect(f, cfg, j) > boundary_tol * scale:
             return False
-    top = derivative_evaluator(f, n)
     try:
-        integrate(_product_integrand(top, top), cfg, spec)
+        _grid_norm_sq(f, n, cfg, spec)
     except SemiFourierError:
         return False
     return True
@@ -419,10 +434,8 @@ def domain_indicator(f, n: int, cfg: SpectralConfig,
     defects = tuple(
         (j, boundary_antisymmetry_defect(f, cfg, j)) for j in range(n + 2)
     )
-    top = derivative_evaluator(f, n + 2)
     try:
-        top_sq = integrate(_product_integrand(top, top), cfg, spec)
-        top_norm_sq = float(np.real(top_sq))
+        top_norm_sq = float(np.real(_grid_norm_sq(f, n + 2, cfg, spec)))
         finite = True
     except SemiFourierError:
         top_norm_sq = math.inf

@@ -5,11 +5,27 @@ there is no adaptivity, so repeated runs are bit-identical.  The rule with q
 nodes per panel integrates polynomials of degree <= 2q - 1 exactly on each
 panel.  The default budget (64 panels x 10 nodes) is sized for products of
 basis functions up to mode index around 40 together with smooth factors.
+
+Trig polynomials are evaluated on a rule's nodes from a basis table: rows
+holding cos(omega_m x) and sin(omega_m x) on the nodes, keyed by
+(a, b, panels, nodes_per_panel, m).  A row is computed the first time a
+polynomial with a term of mode index m is evaluated on that rule, so memory
+follows the modes actually asked for, not the highest index.  The table
+holds at most ``_BASIS_CACHE_VALUES`` node values per wave over all rules
+and drops the least recently used rows first.  A derivative column is a
+quarter-turn sign and branch swap of a row times sqrt(2/(b-a)) * omega_m**j,
+made by the same ``_basis_wave`` and ``_derivative_wave`` that
+``basis_eval`` uses, so it is bit-identical to
+``basis_eval(cfg, mode, nodes, j)``.  The quadrature route of ``l2_inner``
+and of the ladder inner products reads the table; endpoint and other
+pointwise evaluation never does, and neither does ``classical_coeffs``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -21,7 +37,14 @@ from .errors import (
     NonFiniteIntegrandError,
     SemiFourierError,
 )
-from .spectral import SpectralConfig, TrigPolynomial, derivative_evaluator
+from .spectral import (
+    Mode,
+    SpectralConfig,
+    TrigPolynomial,
+    _basis_wave,
+    _derivative_wave,
+    derivative_evaluator,
+)
 
 __all__ = [
     "QuadratureSpec",
@@ -84,6 +107,55 @@ def composite_rule(cfg: SpectralConfig, spec: QuadratureSpec = DEFAULT_QUADRATUR
     return _composite_rule(cfg.a, cfg.b, spec.panels, spec.nodes_per_panel)
 
 
+# Most node values kept per wave over all cached basis rows, least recently
+# used rows dropped first: 204 modes of the default 640-node rule, 2 MiB for
+# the cos and sin waves together.
+_BASIS_CACHE_VALUES = 1 << 17
+
+_basis_rows: OrderedDict[tuple, tuple[float, np.ndarray, np.ndarray]] = OrderedDict()
+_basis_rows_values = 0
+_basis_rows_lock = threading.Lock()
+
+
+def _basis_row(cfg: SpectralConfig, spec: QuadratureSpec, m: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """omega_m, cos(omega_m x) and sin(omega_m x) on the rule's nodes (read-only)."""
+    global _basis_rows_values
+    key = (cfg.a, cfg.b, spec.panels, spec.nodes_per_panel, m)
+    with _basis_rows_lock:
+        row = _basis_rows.get(key)
+        if row is not None:
+            _basis_rows.move_to_end(key)
+            return row
+    nodes, _ = composite_rule(cfg, spec)
+    row = _basis_wave(cfg, m, nodes)
+    row[1].flags.writeable = False
+    row[2].flags.writeable = False
+    with _basis_rows_lock:
+        if key not in _basis_rows:
+            _basis_rows[key] = row
+            _basis_rows_values += nodes.size
+        while _basis_rows_values > _BASIS_CACHE_VALUES:
+            _, (_, dropped, _) = _basis_rows.popitem(last=False)
+            _basis_rows_values -= dropped.size
+    return row
+
+
+def _grid_values(f, order: int, cfg: SpectralConfig, spec: QuadratureSpec) -> np.ndarray:
+    """Values of the order-th derivative of f on the rule's nodes.
+
+    A trig polynomial on this interval is summed from the basis table in the
+    order of ``TrigPolynomial.evaluate``; anything else is evaluated.
+    """
+    nodes, _ = composite_rule(cfg, spec)
+    if isinstance(f, TrigPolynomial) and (f.config.a, f.config.b) == (cfg.a, cfg.b):
+        def column(mode: Mode) -> np.ndarray:
+            omega, cos_psi, sin_psi = _basis_row(cfg, spec, mode.m)
+            return _derivative_wave(cfg, mode.branch, omega, cos_psi, sin_psi, order)
+
+        return f._combine(nodes.shape, column)
+    return _values_on(derivative_evaluator(f, order), nodes)
+
+
 def _values_on(g: Callable, nodes: np.ndarray) -> np.ndarray:
     """Evaluate g on all nodes, falling back to a scalar loop when needed."""
     try:
@@ -122,13 +194,21 @@ def integrate(g: Callable, cfg: SpectralConfig, spec: QuadratureSpec = DEFAULT_Q
     NonFiniteIntegrandError
         If g produces NaN or infinity at any node.
     """
-    nodes, weights = composite_rule(cfg, spec)
-    values = _values_on(g, nodes)
+    return _weighted_sum(_values_on(g, composite_rule(cfg, spec)[0]), cfg, spec)
+
+
+def _require_finite(values: np.ndarray, nodes: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         bad = nodes[~np.isfinite(values)]
         raise NonFiniteIntegrandError(
             f"integrand not finite at node x={float(np.ravel(bad)[0])!r}"
         )
+
+
+def _weighted_sum(values: np.ndarray, cfg: SpectralConfig, spec: QuadratureSpec):
+    """sum(weights * values) over the rule's nodes, after the finite check."""
+    nodes, weights = composite_rule(cfg, spec)
+    _require_finite(values, nodes)
     total = np.sum(weights * values)
     if np.iscomplexobj(values):
         return complex(total)
@@ -154,13 +234,8 @@ def l2_inner(f, g, cfg: SpectralConfig, spec: QuadratureSpec = DEFAULT_QUADRATUR
             if other != 0:
                 total += coeff * other.conjugate()
         return total
-    fe = derivative_evaluator(f, 0)
-    ge = derivative_evaluator(g, 0)
-
-    def integrand(x):
-        return np.asarray(fe(x)) * np.conjugate(np.asarray(ge(x)))
-
-    return complex(integrate(integrand, cfg, spec))
+    values = _grid_values(f, 0, cfg, spec) * np.conjugate(_grid_values(g, 0, cfg, spec))
+    return complex(_weighted_sum(values, cfg, spec))
 
 
 def _check_config(p: TrigPolynomial, cfg: SpectralConfig) -> None:

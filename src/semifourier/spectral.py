@@ -28,6 +28,15 @@ Derivatives of the basis are produced by the exact quarter-turn phase cycle
 cos -> -sin -> -cos -> sin, never by numerical differentiation.  Evaluation
 is arranged so that the anti-symmetry z(a) = -z(b) holds exactly in floating
 point at every derivative order; boundary defect checks rely on this.
+
+Basis values at any points come from ``_basis_wave`` (the waves
+cos(omega_m x) and sin(omega_m x) of one mode) and ``_derivative_wave`` (the
+derivative cycle and normalization applied to them).  ``basis_eval``
+evaluates through these two at arbitrary points; endpoint and boundary-defect
+evaluation always goes through it.  The quadrature layer keeps the waves of
+each mode it meets on a rule's nodes as rows of a basis table (see
+:mod:`semifourier.quadrature`) and applies the same ``_derivative_wave``, so
+its columns are bit-identical to ``basis_eval`` on those nodes.
 """
 
 from __future__ import annotations
@@ -217,24 +226,46 @@ def basis_eval(cfg: SpectralConfig, mode: Mode, x, deriv_order: int = 0):
 
     xs = np.asarray(x, dtype=float)
     _check_domain(cfg, xs)
+    omega, cos_psi, sin_psi = _basis_wave(cfg, mode.m, xs)
+    out = _derivative_wave(cfg, mode.branch, omega, cos_psi, sin_psi, deriv_order)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
 
-    big_m = 2 * mode.m - 1
+
+def _basis_wave(cfg: SpectralConfig, m: int, xs: np.ndarray):
+    """omega_m and the waves cos(omega_m x), sin(omega_m x) at the points xs.
+
+    (2m-1) * (x-a)/(b-a) is reduced exactly modulo 2 and the result rotated
+    by the phase omega_m * a, so the waves at x = a and x = b are exact
+    negatives of each other.
+    """
+    big_m = 2 * m - 1
     u = (xs - cfg.a) / (cfg.b - cfg.a)  # u = 1.0 exactly at x = b
     base_cos = _cospi(big_m * u)
     base_sin = _sinpi(big_m * u)
 
-    omega = angular_frequency(cfg, mode.m)
+    omega = angular_frequency(cfg, m)
     phase = omega * cfg.a
     pc, ps = math.cos(phase), math.sin(phase)
     cos_psi = base_cos * pc - base_sin * ps  # cos(omega * x)
     sin_psi = base_sin * pc + base_cos * ps  # sin(omega * x)
+    return omega, cos_psi, sin_psi
 
-    q = (deriv_order + (3 if mode.branch is Branch.SIN else 0)) % 4
-    wave = (cos_psi, -sin_psi, -cos_psi, sin_psi)[q]
-    out = math.sqrt(2.0 / (cfg.b - cfg.a)) * omega**deriv_order * wave
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+
+def _derivative_wave(cfg: SpectralConfig, branch: Branch, omega: float,
+                     cos_psi: np.ndarray, sin_psi: np.ndarray, deriv_order: int) -> np.ndarray:
+    """sqrt(2/(b-a)) * omega**j * cycle_j of cos(omega x), sin(omega x).
+
+    The quarter-turn cycle cos -> -sin -> -cos -> sin only swaps the branch
+    and flips the sign, both exact, so the result depends on the waves and
+    the scalar factor alone.
+    """
+    q = (deriv_order + (3 if branch is Branch.SIN else 0)) % 4
+    wave = sin_psi if q % 2 else cos_psi
+    if q in (1, 2):
+        wave = -wave
+    return math.sqrt(2.0 / (cfg.b - cfg.a)) * omega**deriv_order * wave
 
 
 class TrigPolynomial:
@@ -293,13 +324,24 @@ class TrigPolynomial:
         """Pointwise value of the deriv_order-th derivative."""
         xs = np.asarray(x, dtype=float)
         _check_domain(self.config, xs)
-        acc = np.zeros(xs.shape, dtype=complex)
-        for mode, coeff in self.items():
-            acc = acc + coeff * basis_eval(self.config, mode, xs, deriv_order)
-        if self.is_real:
-            acc = acc.real
+        acc = self._combine(xs.shape, lambda mode: basis_eval(self.config, mode, xs, deriv_order))
         if np.ndim(x) == 0:
             return acc[()] if acc.ndim == 0 else acc
+        return acc
+
+    def _combine(self, shape: tuple[int, ...], column: Callable[[Mode], np.ndarray]) -> np.ndarray:
+        """sum_mode coeff * column(mode), summed in (m, branch) order.
+
+        ``evaluate`` passes basis values at arbitrary points; the quadrature
+        layer passes tabulated columns on its grid.  Both share this
+        summation order, so equal columns give bit-equal values.  The
+        result is real when every coefficient is.
+        """
+        acc = np.zeros(shape, dtype=complex)
+        for mode, coeff in self.items():
+            acc = acc + coeff * column(mode)
+        if self.is_real:
+            acc = acc.real
         return acc
 
     def __call__(self, x):

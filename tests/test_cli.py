@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +129,25 @@ def test_invalid_interval_exit_code(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("trunc", ["0", "-2"])
+def test_spectrum_rejects_non_positive_modes(trunc, capsys):
+    assert main(["spectrum", "--N", trunc]) == 2
+    assert "--N must be a positive integer" in capsys.readouterr().err
+
+
+def _readme_cli_commands() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("semifourier ")]
+
+
+def test_readme_cli_block_found():
+    assert len(_readme_cli_commands()) >= 8
+
+
+@pytest.mark.parametrize("command", _readme_cli_commands())
+def test_readme_cli_block_runs(command, capsys):
+    assert main(shlex.split(command)[1:]) == 0, capsys.readouterr().err

@@ -5,8 +5,10 @@ import pytest
 
 from semifourier import (
     CoeffVector,
+    FunctionHandle,
     InvalidConfigError,
     Mode,
+    NonFiniteIntegrandError,
     SemiFourierError,
     TruncationExceededError,
     basis_polynomial,
@@ -42,6 +44,12 @@ def test_trig_input_reproduces_coefficients_exactly(cfg, spec):
     assert cv.coefficient(Mode.cos(2)) == 0.75
     assert cv.coefficient(Mode.sin(3)) == 2.5j
     assert cv.coefficient(Mode.cos(6)) == 0.0
+
+
+def test_non_finite_handle_raises(cfg, spec):
+    nan_inside = FunctionHandle((lambda x: np.where(x > 1.0, np.nan, x),))
+    with pytest.raises(NonFiniteIntegrandError):
+        classical_coeffs(nan_inside, 4, cfg, spec)
 
 
 def test_coeff_vector_validation(cfg):
