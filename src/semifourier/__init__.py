@@ -47,6 +47,7 @@ from .spectral import (
     Mode,
     SpectralConfig,
     TrigPolynomial,
+    angular_frequencies,
     angular_frequency,
     apply_ell,
     apply_ell_power,
@@ -54,6 +55,7 @@ from .spectral import (
     basis_polynomial,
     boundary_antisymmetry_defect,
     eigenvalue,
+    eigenvalues,
     ell_power_coefficients,
 )
 
@@ -68,7 +70,9 @@ __all__ = [
     "TrigPolynomial",
     "FunctionHandle",
     "angular_frequency",
+    "angular_frequencies",
     "eigenvalue",
+    "eigenvalues",
     "basis_eval",
     "basis_polynomial",
     "boundary_antisymmetry_defect",

@@ -11,9 +11,10 @@ Catalog names understood by the command line and the verification suites:
 - ``offset-cosine``       cos(x) * (x - (a+b)/2), which violates the
                           boundary condition at order zero on (0, pi).
 
-Entries carry closed-form coefficients where available; coefficient vectors
-built from the closed form stay accurate at mode indices far beyond what the
-fixed quadrature budget can resolve.
+Entries carry closed-form coefficients where available, as a formula that
+returns the cosine and sine coefficient arrays of modes 1..N at once.
+Coefficient vectors built from the closed form stay accurate at mode indices
+far beyond what the fixed quadrature budget can resolve.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SemiFourierError
-from .expansion import CoeffVector, classical_coeffs
+from .expansion import CoeffVector, _check_truncation, classical_coeffs
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .spectral import (
     Branch,
@@ -33,9 +34,10 @@ from .spectral import (
     Mode,
     SpectralConfig,
     TrigPolynomial,
-    angular_frequency,
+    _scalar_powers,
+    angular_frequencies,
     basis_polynomial,
-    eigenvalue,
+    eigenvalues,
 )
 
 __all__ = ["CatalogEntry", "resolve", "available_functions", "coeff_vector"]
@@ -51,7 +53,8 @@ class CatalogEntry:
     description: str
     known_ladder: int | None  # largest ladder index with membership; None = all
     make: Callable[[SpectralConfig], TrigPolynomial | FunctionHandle | None]
-    coeff_formula: Callable[[SpectralConfig, int], tuple[complex, complex]] | None = None
+    # (cfg, N) -> (a, b): cosine and sine coefficient arrays of modes 1..N
+    coeff_formula: Callable[[SpectralConfig, int], tuple[np.ndarray, np.ndarray]] | None = None
 
     def handle(self, cfg: SpectralConfig):
         return self.make(cfg)
@@ -79,11 +82,12 @@ def _sawtooth_handle(cfg: SpectralConfig) -> FunctionHandle:
     return FunctionHandle(tuple(derivs))
 
 
-def _sawtooth_coeffs(cfg: SpectralConfig, m: int) -> tuple[complex, complex]:
+def _sawtooth_coeffs(cfg: SpectralConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
     # integral of (x - (a+b)/2) against the normalized basis in closed form
-    omega = angular_frequency(cfg, m)
-    scale = -2.0 * math.sqrt(2.0 / cfg.length) / omega**2
-    return complex(scale * math.cos(omega * cfg.a)), complex(scale * math.sin(omega * cfg.a))
+    omega = angular_frequencies(cfg, N)
+    scale = -2.0 * math.sqrt(2.0 / cfg.length) / _scalar_powers(omega, 2.0)
+    phase = omega * cfg.a
+    return scale * np.cos(phase), scale * np.sin(phase)
 
 
 def _cos_cycle(r: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -109,18 +113,19 @@ def _offset_cosine_handle(cfg: SpectralConfig) -> FunctionHandle:
     return FunctionHandle(tuple(make(d) for d in range(_HANDLE_DERIVS)))
 
 
-def _synthetic_coeffs(p: float) -> Callable[[SpectralConfig, int], tuple[complex, complex]]:
-    def formula(cfg: SpectralConfig, m: int) -> tuple[complex, complex]:
-        return complex(eigenvalue(cfg, m) ** (-p / 2.0)), 0j
+def _synthetic_coeffs(p: float) -> Callable[[SpectralConfig, int], tuple[np.ndarray, np.ndarray]]:
+    def formula(cfg: SpectralConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
+        return _scalar_powers(eigenvalues(cfg, N), -p / 2.0), np.zeros(N)
 
     return formula
 
 
 def _mode_coeffs(mode_m: int, branch: Branch):
-    def formula(cfg: SpectralConfig, m: int) -> tuple[complex, complex]:
-        if m != mode_m:
-            return 0j, 0j
-        return (1 + 0j, 0j) if branch is Branch.COS else (0j, 1 + 0j)
+    def formula(cfg: SpectralConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
+        a, b = np.zeros(N), np.zeros(N)
+        if mode_m <= N:
+            (a if branch is Branch.COS else b)[mode_m - 1] = 1.0
+        return a, b
 
     return formula
 
@@ -155,6 +160,8 @@ def resolve(name: str) -> CatalogEntry:
             m = int(parts[1])
         except ValueError:
             raise SemiFourierError(f"mode index must be an integer, got {parts[1]!r}") from None
+        if m < 1:
+            raise SemiFourierError(f"mode index must be >= 1, got {m}")
         if parts[2] not in ("cos", "sin"):
             raise SemiFourierError(f"branch must be cos or sin, got {parts[2]!r}")
         branch = Branch.COS if parts[2] == "cos" else Branch.SIN
@@ -197,9 +204,7 @@ def coeff_vector(entry: CatalogEntry | str, N: int, cfg: SpectralConfig,
     if isinstance(entry, str):
         entry = resolve(entry)
     if entry.coeff_formula is not None and prefer_closed_form:
-        pairs = [entry.coeff_formula(cfg, m) for m in range(1, int(N) + 1)]
-        a = np.array([p[0] for p in pairs], dtype=complex)
-        b = np.array([p[1] for p in pairs], dtype=complex)
+        a, b = entry.coeff_formula(cfg, _check_truncation(N))
         return CoeffVector(cfg, a, b)
     f = entry.make(cfg)
     if f is None:

@@ -23,11 +23,12 @@ import numpy as np
 
 from . import catalog
 from .errors import SemiFourierError
-from .expansion import expansion_error, leftdef_coeffs
-from .ladder import leftdef_norm, spectral_inner_r
+from .expansion import CoeffVector, expansion_error, leftdef_coeffs
+from .ladder import _check_ladder_index, leftdef_norm, spectral_inner_r
 from .quadrature import QuadratureSpec
 from .report import Report, render
-from .spectral import SpectralConfig, eigenvalue
+from .spectral import SpectralConfig, eigenvalues
+from .spectral import eigenvalue  # noqa: F401  perfbench's tracer test patches cli.eigenvalue
 from .verify import SUITES, run_suites
 
 __all__ = ["main", "build_parser", "run"]
@@ -103,7 +104,8 @@ def _cmd_spectrum(args) -> int:
     cfg = _config(args)
     if args.trunc < 1:
         raise SemiFourierError(f"--N must be a positive integer, got {args.trunc}")
-    rows = [{"m": m, "eigenvalue": eigenvalue(cfg, m)} for m in range(1, args.trunc + 1)]
+    lam = eigenvalues(cfg, args.trunc).tolist()
+    rows = [{"m": m, "eigenvalue": value} for m, value in enumerate(lam, start=1)]
     _emit(Report("spectrum", cfg, {"modes": args.trunc}, rows), args)
     return 0
 
@@ -117,10 +119,7 @@ def _cmd_coeffs(args) -> int:
         params = {"function": args.function, "N": args.trunc}
     elif args.method == "rescale":
         base = catalog.coeff_vector(entry, args.trunc, cfg, spec)
-        lam = np.array([eigenvalue(cfg, m) for m in range(1, base.size + 1)])
-        factor = lam ** (args.n / 2.0)
-        from .expansion import CoeffVector
-
+        factor = eigenvalues(cfg, base.size) ** (args.n / 2.0)
         cv = CoeffVector(cfg, factor * base.cos_coeffs, factor * base.sin_coeffs, ladder=args.n)
         params = {"function": args.function, "N": args.trunc, "n": args.n, "method": "rescale"}
     else:
@@ -129,9 +128,11 @@ def _cmd_coeffs(args) -> int:
             raise SemiFourierError(f"{entry.name} has no pointwise handle; use --method rescale")
         cv = leftdef_coeffs(f, args.trunc, args.n, cfg, spec, method="direct")
         params = {"function": args.function, "N": args.trunc, "n": args.n, "method": "direct"}
+    # .tolist() columns give Python complex cells, which the renderer
+    # formats a column at a time
     rows = [
-        {"m": m, "a": complex(cv.cos_coeffs[m - 1]), "b": complex(cv.sin_coeffs[m - 1])}
-        for m in range(1, cv.size + 1)
+        {"m": m, "a": a, "b": b}
+        for m, a, b in zip(range(1, cv.size + 1), cv.cos_coeffs.tolist(), cv.sin_coeffs.tolist())
     ]
     _emit(Report("coeffs", cfg, params, rows), args)
     return 0
@@ -142,6 +143,8 @@ def _cmd_norms(args) -> int:
     spec = _quad_spec(args)
     if args.n is not None and args.r is not None:
         raise SemiFourierError("choose either --n or --r, not both")
+    if args.n is not None:
+        _check_ladder_index(args.n)
     entry = catalog.resolve(args.function)
     cv = catalog.coeff_vector(entry, args.trunc, cfg, spec)
     rows = []
@@ -184,10 +187,12 @@ def _checkpoints(limit: int) -> list[int]:
 def _cmd_converge(args) -> int:
     cfg = _config(args)
     spec = _quad_spec(args)
+    if args.n is not None:
+        _check_ladder_index(args.n)
     entry = catalog.resolve(args.function)
     cv = catalog.coeff_vector(entry, args.trunc, cfg, spec)
     f = entry.handle(cfg)
-    lam = np.array([eigenvalue(cfg, m) for m in range(1, cv.size + 1)])
+    lam = eigenvalues(cfg, cv.size)
     c2 = np.abs(cv.cos_coeffs) ** 2 + np.abs(cv.sin_coeffs) ** 2
     rows = []
     for M in _checkpoints(args.trunc):

@@ -38,7 +38,7 @@ from .spectral import (
     TrigPolynomial,
     basis_eval,
     derivative_evaluator,
-    eigenvalue,
+    eigenvalues,
     require_derivatives,
 )
 
@@ -92,6 +92,12 @@ class CoeffVector:
         return complex(arr[mode.m - 1])
 
 
+def _check_truncation(N: int) -> int:
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise InvalidModeError(f"truncation order must be a positive integer, got {N!r}")
+    return int(N)
+
+
 def classical_coeffs(f, N: int, cfg: SpectralConfig,
                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> CoeffVector:
     """Classical coefficients a_m = (f, z_{m,cos}), b_m = (f, z_{m,sin}) for m <= N.
@@ -99,9 +105,7 @@ def classical_coeffs(f, N: int, cfg: SpectralConfig,
     Trig polynomial input reproduces its own coefficients exactly; anything
     else is integrated against the basis on the shared quadrature grid.
     """
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-        raise InvalidModeError(f"truncation order must be a positive integer, got {N!r}")
-    N = int(N)
+    N = _check_truncation(N)
     if isinstance(f, TrigPolynomial):
         if f.config != cfg:
             raise InvalidConfigError("trig polynomial config does not match requested config")
@@ -134,16 +138,14 @@ def leftdef_coeffs(f, N: int, n: int, cfg: SpectralConfig,
     n = _check_ladder_index(n)
     if method == "rescale":
         cv = classical_coeffs(f, N, cfg, spec)
-        lam = np.array([eigenvalue(cfg, m) for m in range(1, cv.size + 1)])
-        factor = lam ** (n / 2.0)
+        factor = eigenvalues(cfg, cv.size) ** (n / 2.0)
         return CoeffVector(cfg, factor * cv.cos_coeffs, factor * cv.sin_coeffs, ladder=n)
     if method == "direct":
-        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-            raise InvalidModeError(f"truncation order must be a positive integer, got {N!r}")
+        N = _check_truncation(N)
         require_derivatives(f, n)
-        a = np.empty(int(N), dtype=complex)
-        b = np.empty(int(N), dtype=complex)
-        for m in range(1, int(N) + 1):
+        a = np.empty(N, dtype=complex)
+        b = np.empty(N, dtype=complex)
+        for m in range(1, N + 1):
             zc = scaled_basis(Mode(m, Branch.COS), n, cfg)
             zs = scaled_basis(Mode(m, Branch.SIN), n, cfg)
             a[m - 1] = leftdef_inner(f, zc, n, cfg, spec, force_quadrature=True)
@@ -225,8 +227,7 @@ def parseval_defect(f, cv: CoeffVector, n: int | None = None,
         if n is None:
             weights = np.ones(cv.size)
         else:
-            lam = np.array([eigenvalue(cfg, m) for m in range(1, cv.size + 1)])
-            weights = lam ** float(n)
+            weights = eigenvalues(cfg, cv.size) ** float(n)
         series = float(np.sum(weights * c2))
     else:
         if n != cv.ladder:

@@ -59,6 +59,7 @@ from .spectral import (
     boundary_antisymmetry_defect,
     derivative_bound,
     eigenvalue,
+    eigenvalues,
     require_derivatives,
 )
 
@@ -213,7 +214,7 @@ def spectral_inner_r(cf, cg, r: float) -> complex:
         raise TruncationMismatchError(f"truncation orders differ: {cf.size} vs {cg.size}")
     if cf.ladder is not None or cg.ladder is not None:
         raise SemiFourierError("spectral_inner_r expects classical coefficient vectors")
-    lam = np.array([eigenvalue(cf.config, m) for m in range(1, cf.size + 1)])
+    lam = eigenvalues(cf.config, cf.size)
     af, bf = _coeff_arrays(cf)
     ag, bg = _coeff_arrays(cg)
     total = np.sum(lam**r * (af * np.conjugate(ag) + bf * np.conjugate(bg)))
@@ -304,7 +305,7 @@ def membership_classify(cf, n_max: int, f=None,
             ok = ok and d <= boundary_tol * scale
             boundary_ok_up_to[j + 1] = ok  # space n needs orders 0..n-1
 
-    lam = np.array([eigenvalue(cfg, m) for m in range(1, N + 1)])
+    lam = eigenvalues(cfg, N)
     a_arr, b_arr = _coeff_arrays(cf)
     c2 = np.abs(a_arr) ** 2 + np.abs(b_arr) ** 2
 

@@ -40,6 +40,7 @@ from .spectral import (
     basis_polynomial,
     boundary_antisymmetry_defect,
     eigenvalue,
+    eigenvalues,
 )
 
 __all__ = ["SUITES", "run_suites", "default_params"]
@@ -75,7 +76,7 @@ def _trig_fixture(cfg: SpectralConfig) -> TrigPolynomial:
 
 def suite_eigenvalues(cfg, spec, params):
     modes = params["modes"]
-    lam = [eigenvalue(cfg, m) for m in range(1, modes + 2)]
+    lam = eigenvalues(cfg, modes + 1).tolist()
     expected = [((2 * m - 1) * math.pi / (cfg.b - cfg.a)) ** 2 + cfg.k for m in range(1, modes + 2)]
     rel = max(abs(l - e) / e for l, e in zip(lam, expected))
     rows = [_row("eigenvalues", "closed-form", rel, 1e-15, rel <= 1e-15)]
@@ -287,7 +288,7 @@ def suite_norm_ladder(cfg, spec, params):
 def suite_operator_matrix(cfg, spec, params):
     rows = []
     N = min(params["modes"], 8)
-    lam = np.repeat([eigenvalue(cfg, m) for m in range(1, N + 1)], 2)
+    lam = np.repeat(eigenvalues(cfg, N), 2)
     for n in range(1, min(3, params["n_max"]) + 1):
         mat = operator_matrix(n, N, cfg, spec, force_quadrature=True)
         off = mat - np.diag(np.diag(mat))
@@ -364,7 +365,7 @@ def suite_error_tail(cfg, spec, params):
     saw = saw_entry.handle(cfg)
     cv = catalog.coeff_vector(saw_entry, 64, cfg, spec)
     c2 = np.abs(cv.cos_coeffs) ** 2 + np.abs(cv.sin_coeffs) ** 2
-    lam = np.array([eigenvalue(cfg, m) for m in range(1, cv.size + 1)])
+    lam = eigenvalues(cfg, cv.size)
     M = 10
     # exact infinite power sums of the closed-form coefficients
     total_l2 = L**3 / 12.0

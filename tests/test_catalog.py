@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semifourier import Mode, SemiFourierError, SpectralConfig, eigenvalue
+from semifourier import Branch, Mode, SemiFourierError, SpectralConfig, angular_frequency, eigenvalue
 from semifourier import catalog
 
 
@@ -87,3 +89,81 @@ def test_available_functions_lists_all_forms():
     assert "sawtooth" in names and "offset-cosine" in names
     assert any(s.startswith("mode:") for s in names)
     assert any(s.startswith("synthetic:") for s in names)
+
+
+# ------------------------------------------- closed forms against per-mode formulas
+# The per-mode formulas below are the reference: the closed forms evaluate all
+# modes at once and must reproduce them bit for bit.
+
+def _sawtooth_reference(cfg, m):
+    omega = angular_frequency(cfg, m)
+    scale = -2.0 * math.sqrt(2.0 / cfg.length) / omega**2
+    return complex(scale * math.cos(omega * cfg.a)), complex(scale * math.sin(omega * cfg.a))
+
+
+def _synthetic_reference(p):
+    return lambda cfg, m: (complex(eigenvalue(cfg, m) ** (-p / 2.0)), 0j)
+
+
+def _mode_reference(mode_m, branch):
+    def formula(cfg, m):
+        if m != mode_m:
+            return 0j, 0j
+        return (1 + 0j, 0j) if branch is Branch.COS else (0j, 1 + 0j)
+
+    return formula
+
+
+def _assert_bit_equal(name, reference, cfg, N):
+    cv = catalog.coeff_vector(name, N, cfg)
+    pairs = [reference(cfg, m) for m in range(1, N + 1)]
+    for got, want in ((cv.cos_coeffs, [p[0] for p in pairs]), (cv.sin_coeffs, [p[1] for p in pairs])):
+        want = np.array(want, dtype=complex)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# Offsets reach |a| of 1e6 against lengths down to 1e-3.
+configs = st.builds(
+    lambda a, length, k: SpectralConfig(a, a + length, k),
+    st.one_of(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6)),
+    st.floats(1e-3, 20.0),
+    st.floats(1e-2, 1e2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs, N=st.integers(1, 2000))
+def test_sawtooth_closed_form_equals_per_mode_formula(cfg, N):
+    _assert_bit_equal("sawtooth", _sawtooth_reference, cfg, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs, N=st.integers(1, 2000), p=st.floats(0.05, 12.0))
+def test_synthetic_closed_form_equals_per_mode_formula(cfg, N, p):
+    _assert_bit_equal(f"synthetic:{p!r}", _synthetic_reference(p), cfg, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=configs, N=st.integers(1, 60), m=st.integers(1, 80), branch=st.sampled_from(Branch))
+def test_mode_closed_form_equals_per_mode_formula(cfg, N, m, branch):
+    _assert_bit_equal(f"mode:{m}:{branch.value}", _mode_reference(m, branch), cfg, N)
+
+
+@pytest.mark.parametrize("a,b,k", [(0.0, math.pi, 1.0), (7.5, 10.3, 0.5), (-2.5, 0.75, 2.2)])
+def test_closed_forms_equal_per_mode_formulas_at_2e4_modes(a, b, k):
+    cfg = SpectralConfig(a, b, k)
+    _assert_bit_equal("sawtooth", _sawtooth_reference, cfg, 20_000)
+    _assert_bit_equal("synthetic:4.2", _synthetic_reference(4.2), cfg, 20_000)
+
+
+@pytest.mark.parametrize("name", ["mode:0:cos", "mode:-2:sin"])
+def test_resolve_rejects_mode_index_below_one(name):
+    with pytest.raises(SemiFourierError):
+        catalog.resolve(name)
+
+
+@pytest.mark.parametrize("name", ["sawtooth", "synthetic:3", "mode:2:cos"])
+@pytest.mark.parametrize("N", [0, -1])
+def test_closed_form_rejects_non_positive_truncation(name, N, cfg):
+    with pytest.raises(SemiFourierError):
+        catalog.coeff_vector(name, N, cfg)

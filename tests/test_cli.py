@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from semifourier import SpectralConfig, eigenvalue
 from semifourier.cli import main
 
 
@@ -135,6 +136,40 @@ def test_invalid_interval_exit_code(capsys):
 def test_spectrum_rejects_non_positive_modes(trunc, capsys):
     assert main(["spectrum", "--N", trunc]) == 2
     assert "--N must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["mode:0:cos", "mode:-2:sin"])
+def test_coeffs_rejects_mode_index_below_one(name, capsys):
+    assert main(["coeffs", "--function", name, "--N", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mode index must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "--function", "synthetic:3.5", "--n", "-1"],
+    ["norms", "--function", "synthetic:3.5", "--n", "0"],
+    ["norms", "--function", "sawtooth", "--n", "-1"],
+    ["converge", "--function", "synthetic:3", "--N", "8", "--n", "-2"],
+    ["converge", "--function", "synthetic:3", "--N", "8", "--n", "0"],
+    ["converge", "--function", "sawtooth", "--N", "8", "--n", "0"],
+])
+def test_invalid_ladder_index_exit_code(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ladder index must be an integer >= 1" in captured.err
+
+
+def test_norms_without_n_is_the_l2_norm(capsys):
+    code, doc = run_json(capsys, "norms", "--function", "synthetic:3.5", "--N", "50")
+    assert code == 0
+    assert doc["params"]["n"] == 0
+    (row,) = doc["rows"]
+    cfg = SpectralConfig(0.0, math.pi, 1.0)
+    expected = math.sqrt(sum(eigenvalue(cfg, m) ** -3.5 for m in range(1, 51)))
+    assert row == {"method": "coefficient-series", "n": 0, "N": 50,
+                   "value": pytest.approx(expected, rel=1e-14)}
 
 
 def _readme_cli_commands() -> list[str]:

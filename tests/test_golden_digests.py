@@ -1,0 +1,72 @@
+"""CLI reports byte for byte: the sha256 of ``cli.main`` stdout per command.
+
+The digests were recorded from the implementation that called ``eigenvalue``
+once per mode, looped over m in the catalog closed forms and rendered every
+report cell on its own.  The array eigenvalues, the array closed forms and
+the column renderer must reproduce those bytes exactly.  The list covers
+the large closed-form reports (spectrum and coefficients at N = 2e4 in JSON
+and CSV, the N = 1e5 power-sum norm), the quadrature route and ``verify`` on
+three configurations.
+
+A change that alters a report on purpose updates the digest in the same
+change and says which rows changed and why; a digest is never refreshed to
+make a failure go away.
+"""
+
+import hashlib
+import shlex
+
+import pytest
+
+from semifourier.cli import main
+
+DIGESTS = [
+    ("spectrum --N 20000 --format json",
+     "e4a721d1f0d4ac0615138b20e3921b45e0396914e9cb459999a893440b1bcd11"),
+    ("spectrum --N 20000 --format csv",
+     "3cf8512cdac996a738b2fd3f7f68234672602127b63f4f8ea6c59f1906cc2813"),
+    ("coeffs --function sawtooth --N 20000 --format json",
+     "363e22bac88bab38879e6b01d4ef10b64430e4365f4c898790a2f21788460d79"),
+    ("coeffs --function sawtooth --N 20000 --n 2 --format json",
+     "755060325daa2e946291f0ca6b275f50073603041a16ebb7ee457dec64e38192"),
+    ("coeffs --function sawtooth --N 20000 --format csv",
+     "4a156a8ad880ec6b0b72516f594ae1b56a385af28b4d6ab6f3f8ebe6c22e0f1a"),
+    ("coeffs --function sawtooth --N 20000 --n 2 --format csv",
+     "853c0f3bc0c94750a565b4904567ada25387b869fd1b5a3f11147b74f50dd24c"),
+    ("coeffs --function synthetic:4.2 --N 20000 --format json",
+     "c1a293833ca5ca9214e827f2ec0a3bd3ef0a4b7b687ddcc8fa347e505a14d7d2"),
+    ("coeffs --function synthetic:4.2 --N 20000 --n 2 --format json",
+     "414df3bc5d44ce60a5de55279c83785fd1eb43fe18b1933d82e5ddf88eaae057"),
+    ("coeffs --function synthetic:4.2 --N 20000 --format csv",
+     "846bc2869e84fdca58a98ab90b82ff9222489ca8a7856edf999fb85b7a4ebe75"),
+    ("coeffs --function synthetic:4.2 --N 20000 --n 2 --format csv",
+     "1dd61f0316a3b36b11ec3732e96ffb749deeb26731794a629ad16e6e1ab4a571"),
+    ("norms --function synthetic:3.5 --r 1.2 --N 100000",
+     "761b235af5793f61c723f487331e513fe0a474f07161d56665794a0e76f91638"),
+    ("converge --function synthetic:3.1 --N 20000 --n 1",
+     "d51673ba16469e598cb9bdd63edfed182fb4fe9994ad7ffb968151e0e570cec0"),
+    ("coeffs --function offset-cosine --N 64",
+     "adc5d561232d1dc6c52e826cf225ffded9cede959f39a0b1cdf531ac576bddf2"),
+    ("verify --N 8",
+     "65067b1eab9334ef9238a2431be833c3f2287f55fa6b8595c7f1853a89587734"),
+    ("verify --N 8 --a 7.5 --b 10.3 --k 0.5",
+     "370949389054663252c00a30f151c8ba8f652056ba660f16acd4e000e93051f0"),
+    ("verify --N 8 --a -2.5 --b 0.75 --k 2.2",
+     "746c9ffcdd62b7085887425dc5332d66a5f70c4a811714460fb5d924013f3262"),
+    # the L2 norm without --n, and CSV of the other report kinds
+    ("norms --function synthetic:3.5 --N 500",
+     "209e5a1f77febab64a903e255912f3dee476ffd77ae337c9be46581441972f21"),
+    ("converge --function synthetic:3 --N 100 --format csv",
+     "71591360fcaa9a66417af9ecd53448e2ac82977a2b05a96724f29b750799b0c8"),
+    ("coeffs --function mode:3:sin --N 6 --format csv",
+     "1b9fa60c8b55652641a847f10ca976f92b5f88c2e89f4fad07cab0decbb654d4"),
+    ("verify --N 8 --format csv",
+     "635a8c0625fe788f41a2bbcfa81701524a947658c644ce0cf8eb61dc19c22765"),
+]
+
+
+@pytest.mark.parametrize("command,digest", DIGESTS, ids=[command for command, _ in DIGESTS])
+def test_report_bytes_unchanged(command, digest, capsys):
+    assert main(shlex.split(command)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,10 +1,21 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semifourier import SpectralConfig
-from semifourier.report import Report, render, render_csv, render_json
+from semifourier.report import (
+    Report,
+    _csv_cell,
+    _flatten_row,
+    _json_value,
+    render,
+    render_csv,
+    render_json,
+)
 
 
 @pytest.fixture
@@ -66,3 +77,87 @@ def test_render_dispatch(report):
     assert render(report, "csv") == render_csv(report)
     with pytest.raises(ValueError):
         render(report, "yaml")
+
+
+# --------------------------------------------- column renderer against per-cell
+# The references render every cell on its own, as the renderer did before it
+# formatted whole columns; the column renderer must give the same bytes.
+
+def _json_per_cell(report):
+    doc = {
+        "kind": report.kind,
+        "config": {"a": report.config.a, "b": report.config.b, "k": report.config.k},
+        "params": report.params,
+        "rows": report.rows,
+        "summary": report.summary,
+    }
+    return _json_value(doc) + "\n"
+
+
+def _csv_per_cell(report):
+    flat_rows = [_flatten_row(r) for r in report.rows]
+    header = []
+    for row in flat_rows:
+        for key in row:
+            if key not in header:
+                header.append(key)
+    lines = [",".join(header)]
+    for row in flat_rows:
+        lines.append(",".join(_csv_cell(row.get(key)) for key in header))
+    return "\n".join(lines) + "\n"
+
+
+_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]))
+CELLS = {
+    "float": _floats,
+    "int": st.integers(-(10**20), 10**20),
+    "complex": st.builds(complex, _floats, _floats),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "str": st.text(alphabet=' ab,"\n-{}'),
+    "numpy": st.one_of(
+        st.floats().map(np.float64),
+        st.integers(-(2**62), 2**62).map(np.int64),
+        st.builds(complex, _floats, _floats).map(np.complex128),
+        st.booleans().map(np.bool_),
+    ),
+    "re-im": st.fixed_dictionaries({"re": _floats, "im": _floats}),
+}
+ANY_CELL = st.one_of(*CELLS.values())
+# "a" and "a_re" collide once complex "a" is flattened in CSV; braces and
+# quotes in keys must survive the JSON row templates
+KEYS = ["m", "a", "a_re", "value", "{k}", 'q"']
+
+
+@st.composite
+def reports(draw, ragged: bool):
+    keys = draw(st.lists(st.sampled_from(KEYS), max_size=len(KEYS), unique=True))
+    cells = {key: draw(st.sampled_from([*CELLS.values(), ANY_CELL])) for key in keys}
+    if ragged:  # a few key orders and subsets, so runs of equal keys still occur
+        shapes = draw(st.lists(st.permutations(keys).flatmap(
+            lambda order: st.integers(0, len(order)).map(lambda n: order[:n])), min_size=1, max_size=3))
+    else:
+        shapes = [keys]
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(shapes))
+        rows.append({key: draw(cells[key]) for key in shape})
+    cfg = SpectralConfig(0.0, math.pi, 1.0)
+    return Report("demo", cfg, {"N": len(rows)}, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=st.one_of(reports(ragged=False), reports(ragged=True)))
+def test_column_renderer_equals_per_cell_rendering(report):
+    assert render_json(report) == _json_per_cell(report)
+    assert render_csv(report) == _csv_per_cell(report)
+
+
+def test_column_renderer_on_large_typed_columns(cfg):
+    rng = np.random.default_rng(5)
+    values = (rng.standard_normal(3000) * 10.0 ** rng.integers(-300, 300, 3000)).tolist()
+    values[::125] = [math.inf, -math.inf, math.nan, -0.0] * 6
+    rows = [{"m": m, "eigenvalue": x, "a": complex(x, -x)} for m, x in enumerate(values, 1)]
+    report = Report("demo", cfg, {"N": len(rows)}, rows)
+    assert render_json(report) == _json_per_cell(report)
+    assert render_csv(report) == _csv_per_cell(report)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semifourier import (
     Branch,
@@ -13,6 +15,7 @@ from semifourier import (
     PointOutOfDomainError,
     SpectralConfig,
     TrigPolynomial,
+    angular_frequencies,
     angular_frequency,
     apply_ell,
     apply_ell_power,
@@ -20,6 +23,7 @@ from semifourier import (
     basis_polynomial,
     boundary_antisymmetry_defect,
     eigenvalue,
+    eigenvalues,
     ell_power_coefficients,
 )
 from semifourier import catalog
@@ -82,6 +86,45 @@ def test_eigenvalues_increasing_and_above_shift(any_cfg):
 def test_eigenvalue_rejects_bad_mode(cfg):
     with pytest.raises(InvalidModeError):
         eigenvalue(cfg, 0)
+
+
+# Offsets reach |a| of 1e6 against lengths down to 1e-3, so |a| >> b - a.
+configs = st.builds(
+    lambda a, length, k: SpectralConfig(a, a + length, k),
+    st.one_of(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6)),
+    st.floats(1e-3, 20.0),
+    st.floats(1e-2, 1e2),
+)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs, N=st.integers(1, 3000))
+def test_array_eigenvalues_equal_scalar_bit_for_bit(cfg, N):
+    omega = angular_frequencies(cfg, N)
+    lam = eigenvalues(cfg, N)
+    assert lam.shape == omega.shape == (N,)
+    assert np.array_equal(_bits(omega), _bits([angular_frequency(cfg, m) for m in range(1, N + 1)]))
+    assert np.array_equal(_bits(lam), _bits([eigenvalue(cfg, m) for m in range(1, N + 1)]))
+
+
+@pytest.mark.parametrize("a,b,k", [(0.0, math.pi, 1.0), (7.5, 10.3, 0.5), (-2.5, 0.75, 2.2)])
+def test_array_eigenvalues_equal_scalar_at_1e5_modes(a, b, k):
+    cfg = SpectralConfig(a, b, k)
+    N = 100_000
+    scalar = [eigenvalue(cfg, m) for m in range(1, N + 1)]
+    assert np.array_equal(_bits(eigenvalues(cfg, N)), _bits(scalar))
+
+
+@pytest.mark.parametrize("N", [0, -3, 2.0, True])
+def test_array_eigenvalues_reject_bad_count(cfg, N):
+    with pytest.raises(InvalidModeError):
+        eigenvalues(cfg, N)
+    with pytest.raises(InvalidModeError):
+        angular_frequencies(cfg, N)
 
 
 # ------------------------------------------------------------- basis eval
