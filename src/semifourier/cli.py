@@ -23,9 +23,9 @@ import numpy as np
 
 from . import catalog
 from .errors import SemiFourierError
-from .expansion import CoeffVector, expansion_error, leftdef_coeffs
-from .ladder import _check_ladder_index, leftdef_norm, spectral_inner_r
-from .quadrature import QuadratureSpec
+from .expansion import _rescale, expansion_error, leftdef_coeffs
+from .ladder import _check_ladder_index, leftdef_inner, spectral_inner_r
+from .quadrature import QuadratureSpec, l2_inner
 from .report import Report, render
 from .spectral import SpectralConfig, eigenvalues
 from .spectral import eigenvalue  # noqa: F401  perfbench's tracer test patches cli.eigenvalue
@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k", type=float, default=1.0, help="spectral shift (default 1)")
     common.add_argument("--quad-panels", type=int, default=64, help="quadrature panels (default 64)")
     common.add_argument("--quad-nodes", type=int, default=10, help="nodes per panel (default 10)")
-    common.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance (default 1e-10)")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     common.add_argument("--output", default=None, help="write the report to this path instead of stdout")
 
@@ -88,7 +87,7 @@ def _config(args) -> SpectralConfig:
 
 
 def _quad_spec(args) -> QuadratureSpec:
-    return QuadratureSpec(panels=args.quad_panels, nodes_per_panel=args.quad_nodes, abs_tol=args.tol)
+    return QuadratureSpec(panels=args.quad_panels, nodes_per_panel=args.quad_nodes)
 
 
 def _emit(report: Report, args) -> None:
@@ -100,10 +99,14 @@ def _emit(report: Report, args) -> None:
         sys.stdout.write(text)
 
 
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise SemiFourierError(f"--N must be a positive integer, got {count}")
+
+
 def _cmd_spectrum(args) -> int:
     cfg = _config(args)
-    if args.trunc < 1:
-        raise SemiFourierError(f"--N must be a positive integer, got {args.trunc}")
+    _check_count(args.trunc)
     lam = eigenvalues(cfg, args.trunc).tolist()
     rows = [{"m": m, "eigenvalue": value} for m, value in enumerate(lam, start=1)]
     _emit(Report("spectrum", cfg, {"modes": args.trunc}, rows), args)
@@ -118,9 +121,7 @@ def _cmd_coeffs(args) -> int:
         cv = catalog.coeff_vector(entry, args.trunc, cfg, spec)
         params = {"function": args.function, "N": args.trunc}
     elif args.method == "rescale":
-        base = catalog.coeff_vector(entry, args.trunc, cfg, spec)
-        factor = eigenvalues(cfg, base.size) ** (args.n / 2.0)
-        cv = CoeffVector(cfg, factor * base.cos_coeffs, factor * base.sin_coeffs, ladder=args.n)
+        cv = _rescale(catalog.coeff_vector(entry, args.trunc, cfg, spec), args.n)
         params = {"function": args.function, "N": args.trunc, "n": args.n, "method": "rescale"}
     else:
         f = entry.handle(cfg)
@@ -156,12 +157,8 @@ def _cmd_norms(args) -> int:
         n = args.n
         f = entry.handle(cfg)
         if f is not None:
-            if n is None:
-                from .quadrature import l2_inner
-
-                quad = math.sqrt(max(l2_inner(f, f, cfg, spec).real, 0.0))
-            else:
-                quad = leftdef_norm(f, n, cfg, spec)
+            sq = l2_inner(f, f, cfg, spec) if n is None else leftdef_inner(f, f, n, cfg, spec)
+            quad = math.sqrt(max(sq.real, 0.0))
             rows.append({"method": "definition-quadrature", "n": 0 if n is None else n, "value": quad})
         weight = 0.0 if n is None else float(n)
         series = math.sqrt(max(spectral_inner_r(cv, cv, weight).real, 0.0)) if weight > 0 else math.sqrt(
@@ -217,6 +214,8 @@ def _cmd_converge(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _config(args)
     spec = _quad_spec(args)
+    if args.count is not None:
+        _check_count(args.count)
     names = args.suite if args.suite else list(SUITES)
     if "all" in names:
         names = list(SUITES)

@@ -5,7 +5,10 @@ ladder coefficients against the rescaled basis differ exactly by the factor
 lambda_m**(n/2), so they can be computed either directly from the defining
 derivative integrals or by rescaling the classical ones.  Partial sums are
 always built from classical coefficients; expansion errors may be measured
-in any ladder norm the function supports.
+in any ladder norm the function supports.  For a function handle the
+residual f - s_M is taken on the quadrature grid, as the handle's values
+minus the partial sum's values from the basis table, and goes through the
+same ladder sum as every other quadrature-route inner product.
 """
 
 from __future__ import annotations
@@ -25,21 +28,22 @@ from .ladder import _check_ladder_index, leftdef_inner, scaled_basis
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _inner,
+    _ladder_matrix,
+    _on_grid,
     _require_finite,
-    _values_on,
     composite_rule,
     l2_inner,
 )
 from .spectral import (
     Branch,
-    FunctionHandle,
     Mode,
     SpectralConfig,
     TrigPolynomial,
+    _check_integer,
     basis_eval,
     derivative_evaluator,
     eigenvalues,
-    require_derivatives,
 )
 
 __all__ = [
@@ -93,9 +97,7 @@ class CoeffVector:
 
 
 def _check_truncation(N: int) -> int:
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-        raise InvalidModeError(f"truncation order must be a positive integer, got {N!r}")
-    return int(N)
+    return _check_integer(N, 1, InvalidModeError, "truncation order")
 
 
 def classical_coeffs(f, N: int, cfg: SpectralConfig,
@@ -114,7 +116,7 @@ def classical_coeffs(f, N: int, cfg: SpectralConfig,
         return CoeffVector(cfg, np.array(a, dtype=complex), np.array(b, dtype=complex))
 
     nodes, weights = composite_rule(cfg, spec)
-    values = _values_on(derivative_evaluator(f, 0), nodes)
+    values = _on_grid(f, cfg, spec)(0)
     _require_finite(values, nodes)
     wf = weights * values
     a = np.empty(N, dtype=complex)
@@ -137,12 +139,10 @@ def leftdef_coeffs(f, N: int, n: int, cfg: SpectralConfig,
     """
     n = _check_ladder_index(n)
     if method == "rescale":
-        cv = classical_coeffs(f, N, cfg, spec)
-        factor = eigenvalues(cfg, cv.size) ** (n / 2.0)
-        return CoeffVector(cfg, factor * cv.cos_coeffs, factor * cv.sin_coeffs, ladder=n)
+        return _rescale(classical_coeffs(f, N, cfg, spec), n)
     if method == "direct":
         N = _check_truncation(N)
-        require_derivatives(f, n)
+        derivative_evaluator(f, n)
         a = np.empty(N, dtype=complex)
         b = np.empty(N, dtype=complex)
         for m in range(1, N + 1):
@@ -154,10 +154,15 @@ def leftdef_coeffs(f, N: int, n: int, cfg: SpectralConfig,
     raise SemiFourierError(f"unknown method {method!r}, expected 'rescale' or 'direct'")
 
 
+def _rescale(cv: CoeffVector, n: int) -> CoeffVector:
+    """Ladder coefficients lambda_m**(n/2) * c_m from classical ones."""
+    factor = eigenvalues(cv.config, cv.size) ** (n / 2.0)
+    return CoeffVector(cv.config, factor * cv.cos_coeffs, factor * cv.sin_coeffs, ladder=n)
+
+
 def partial_sum(cv: CoeffVector, M: int) -> TrigPolynomial:
     """Partial sum s_M = sum_{m<=M} a_m z_{m,cos} + b_m z_{m,sin} as a trig polynomial."""
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
-        raise SemiFourierError(f"partial sum order must be an integer >= 1, got {M!r}")
+    M = _check_integer(M, 1, SemiFourierError, "partial sum order")
     if M > cv.size:
         raise TruncationExceededError(f"partial sum order {M} exceeds truncation {cv.size}")
     if cv.ladder is not None:
@@ -165,7 +170,7 @@ def partial_sum(cv: CoeffVector, M: int) -> TrigPolynomial:
             "partial sums are built from classical coefficients; rescale first"
         )
     terms: dict[Mode, complex] = {}
-    for m in range(1, int(M) + 1):
+    for m in range(1, M + 1):
         terms[Mode(m, Branch.COS)] = complex(cv.cos_coeffs[m - 1])
         terms[Mode(m, Branch.SIN)] = complex(cv.sin_coeffs[m - 1])
     return TrigPolynomial(cv.config, terms)
@@ -176,35 +181,23 @@ def expansion_error(f, cv: CoeffVector, M: int, n: int | None = None,
     """Norm of f - s_M, in L2 (n is None) or in the n-th ladder norm.
 
     Trig polynomial input is handled exactly in coefficient space; for a
-    function handle the residual derivatives are assembled pointwise and the
-    defining integrals evaluated by quadrature.
+    function handle the residual derivatives f^(j) - s_M^(j) are taken on
+    the quadrature grid and the defining integrals summed there.
     """
     s = partial_sum(cv, M)
     cfg = cv.config
+    order = 0 if n is None else _check_ladder_index(n)
     if isinstance(f, TrigPolynomial):
         diff = f - s
-        sq = l2_inner(diff, diff, cfg, spec) if n is None else leftdef_inner(diff, diff, n, cfg, spec)
-        return math.sqrt(max(sq.real, 0.0))
+        sq = _inner(diff, diff, order, cfg, spec, False)
+    else:
+        f_grid, s_grid = _on_grid(f, cfg, spec), _on_grid(s, cfg, spec)
 
-    order = 0 if n is None else _check_ladder_index(n)
-    require_derivatives(f, order)
-    residual = _residual_handle(f, s, order)
-    sq = l2_inner(residual, residual, cfg, spec) if n is None else leftdef_inner(
-        residual, residual, n, cfg, spec
-    )
+        def residual(j: int) -> np.ndarray:
+            return f_grid(j) - s_grid(j)
+
+        sq = _ladder_matrix([residual], [residual], order, cfg, spec)[0][0]
     return math.sqrt(max(sq.real, 0.0))
-
-
-def _residual_handle(f, s: TrigPolynomial, order: int) -> FunctionHandle:
-    def make(j: int):
-        fj = derivative_evaluator(f, j)
-
-        def rj(x):
-            return np.asarray(fj(x)) - np.asarray(s.evaluate(x, j))
-
-        return rj
-
-    return FunctionHandle(tuple(make(j) for j in range(order + 1)))
 
 
 def parseval_defect(f, cv: CoeffVector, n: int | None = None,

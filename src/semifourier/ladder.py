@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DerivativeUnavailableError,
     InsufficientModesError,
     InvalidConfigError,
     InvalidModeError,
@@ -45,7 +44,9 @@ from .errors import (
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    _grid_values,
+    _inner,
+    _ladder_matrix,
+    _on_grid,
     _weighted_sum,
     l2_inner,
 )
@@ -54,13 +55,13 @@ from .spectral import (
     Mode,
     SpectralConfig,
     TrigPolynomial,
+    _check_integer,
     apply_ell,
     basis_polynomial,
     boundary_antisymmetry_defect,
-    derivative_bound,
+    derivative_evaluator,
     eigenvalue,
     eigenvalues,
-    require_derivatives,
 )
 
 __all__ = [
@@ -94,9 +95,7 @@ BOUNDARY_TOL = 1e-8
 
 
 def _check_ladder_index(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidModeError(f"ladder index must be an integer >= 1, got {n!r}")
-    return int(n)
+    return _check_integer(n, 1, InvalidModeError, "ladder index")
 
 
 def _check_power(r: float) -> float:
@@ -116,46 +115,13 @@ def leftdef_inner(f, g, n: int, cfg: SpectralConfig,
     weighted derivative integrals by quadrature; both arguments must then
     supply derivatives up to order n.
     """
-    n = _check_ladder_index(n)
-    if isinstance(f, TrigPolynomial) and isinstance(g, TrigPolynomial) and not force_quadrature:
-        if f.config != cfg or g.config != cfg:
-            raise InvalidConfigError("trig polynomial config does not match requested config")
-        total = 0j
-        for mode, coeff in f.items():
-            other = g.coefficient(mode)
-            if other != 0:
-                total += eigenvalue(cfg, mode.m) ** n * coeff * other.conjugate()
-        return total
-
-    require_derivatives(f, n)
-    require_derivatives(g, n)
-    return _ladder_matrix([f], [g], n, cfg, spec)[0][0]
+    return _inner(f, g, _check_ladder_index(n), cfg, spec, force_quadrature)
 
 
 def _grid_norm_sq(f, order: int, cfg: SpectralConfig, spec: QuadratureSpec):
     """Quadrature of |f^(order)|^2."""
-    top = _grid_values(f, order, cfg, spec)
+    top = _on_grid(f, cfg, spec)(order)
     return _weighted_sum(top * np.conjugate(top), cfg, spec)
-
-
-def _ladder_matrix(fs: list, gs: list, n: int, cfg: SpectralConfig,
-                   spec: QuadratureSpec) -> list[list[complex]]:
-    """(f_p, g_q)_n by quadrature for every pair, one derivative order at a time.
-
-    Entry (p, q) is sum_j C(n, j) k**(n-j) * integral f_p^(j) conj(g_q^(j)),
-    accumulated in ascending j.  Each function's grid values are taken once
-    per order, not per pair, and only one order's values are held at once,
-    so the working set stays a few dozen node vectors.
-    """
-    total = [[0j] * len(gs) for _ in fs]
-    for j in range(n + 1):
-        weight = math.comb(n, j) * cfg.k ** (n - j)
-        g_conj = [np.conjugate(_grid_values(g, j, cfg, spec)) for g in gs]
-        for row, f in zip(total, fs):
-            f_values = _grid_values(f, j, cfg, spec)
-            for q, g_values in enumerate(g_conj):
-                row[q] += weight * complex(_weighted_sum(f_values * g_values, cfg, spec))
-    return total
 
 
 def leftdef_norm(f, n: int, cfg: SpectralConfig,
@@ -291,11 +257,7 @@ def membership_classify(cf, n_max: int, f=None,
     defects: list[tuple[int, float]] = []
     boundary_ok_up_to: dict[int, bool] = {}
     if f is not None:
-        bound = derivative_bound(f)
-        if bound is not None and n_max - 1 > bound:
-            raise DerivativeUnavailableError(
-                f"boundary checks for n_max={n_max} need derivatives up to {n_max - 1}"
-            )
+        derivative_evaluator(f, n_max - 1)
         a_arr, b_arr = _coeff_arrays(cf)
         scale = max(math.sqrt(float(np.sum(np.abs(a_arr) ** 2 + np.abs(b_arr) ** 2))), 1e-300)
         ok = True
@@ -355,10 +317,9 @@ def membership_classify(cf, n_max: int, f=None,
 
 def mode_sequence(N: int) -> list[Mode]:
     """First N mode pairs in the fixed matrix ordering (1,cos), (1,sin), (2,cos), ..."""
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-        raise InvalidModeError(f"mode count must be a positive integer, got {N!r}")
+    N = _check_integer(N, 1, InvalidModeError, "mode count")
     out: list[Mode] = []
-    for m in range(1, int(N) + 1):
+    for m in range(1, N + 1):
         out.append(Mode(m, Branch.COS))
         out.append(Mode(m, Branch.SIN))
     return out
@@ -380,7 +341,8 @@ def operator_matrix(n: int, N: int, cfg: SpectralConfig,
     scaled = [scaled_basis(mode, n, cfg) for mode in modes]
     shifted = [apply_ell(z) for z in scaled]
     if force_quadrature:
-        entries = _ladder_matrix(shifted, scaled, n, cfg, spec)
+        entries = _ladder_matrix([_on_grid(f, cfg, spec) for f in shifted],
+                                 [_on_grid(g, cfg, spec) for g in scaled], n, cfg, spec)
     else:
         entries = [[leftdef_inner(f, g, n, cfg, spec) for g in scaled] for f in shifted]
     return np.array([[value.real for value in row] for row in entries], dtype=float)
@@ -402,7 +364,7 @@ def in_v_space(f, n: int, cfg: SpectralConfig,
                boundary_tol: float = BOUNDARY_TOL) -> bool:
     """Direct check of the n-th ladder space: boundary orders 0..n-1 and f^(n) in L2."""
     n = _check_ladder_index(n)
-    require_derivatives(f, n)
+    derivative_evaluator(f, n)
     scale = max(math.sqrt(max(l2_inner(f, f, cfg, spec).real, 0.0)), 1e-300)
     for j in range(n):
         if boundary_antisymmetry_defect(f, cfg, j) > boundary_tol * scale:
@@ -426,10 +388,8 @@ def domain_indicator(f, n: int, cfg: SpectralConfig,
     A separate flag reports membership in the first ladder space, the
     domain of the operator square root.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise InvalidModeError(f"operator index must be an integer >= 0, got {n!r}")
-    n = int(n)
-    require_derivatives(f, n + 2)
+    n = _check_integer(n, 0, InvalidModeError, "operator index")
+    derivative_evaluator(f, n + 2)
 
     scale = max(math.sqrt(max(l2_inner(f, f, cfg, spec).real, 0.0)), 1e-300)
     defects = tuple(

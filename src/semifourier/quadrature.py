@@ -16,9 +16,16 @@ and drops the least recently used rows first.  A derivative column is a
 quarter-turn sign and branch swap of a row times sqrt(2/(b-a)) * omega_m**j,
 made by the same ``_basis_wave`` and ``_derivative_wave`` that
 ``basis_eval`` uses, so it is bit-identical to
-``basis_eval(cfg, mode, nodes, j)``.  The quadrature route of ``l2_inner``
-and of the ladder inner products reads the table; endpoint and other
-pointwise evaluation never does, and neither does ``classical_coeffs``.
+``basis_eval(cfg, mode, nodes, j)``.
+
+``_ladder_matrix`` is the one place that forms the ladder sum
+sum_j C(n, j) k**(n-j) * integral f^(j) conj(g^(j)) on the nodes; n = 0 is
+the L2 inner product.  Every quadrature-route inner product goes through it
+and reads trig polynomials from the table: ``l2_inner``, ``leftdef_inner``,
+``operator_matrix``, the Gram matrices of the orthonormality suite, and
+``expansion_error`` on a handle, whose residual is the handle's grid values
+minus the partial sum's table values.  Endpoint and other pointwise
+evaluation never reads the table, and neither does ``classical_coeffs``.
 """
 
 from __future__ import annotations
@@ -38,12 +45,13 @@ from .errors import (
     SemiFourierError,
 )
 from .spectral import (
-    Mode,
     SpectralConfig,
     TrigPolynomial,
     _basis_wave,
+    _check_integer,
     _derivative_wave,
     derivative_evaluator,
+    eigenvalue,
 )
 
 __all__ = [
@@ -57,25 +65,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite Gauss-Legendre rule: panel count, nodes per panel, tolerance."""
+    """Composite Gauss-Legendre rule: panel count and nodes per panel.
+
+    abs_tol is not read by the rule; verify's error-tail check takes its
+    tolerance from it.
+    """
 
     panels: int = 64
     nodes_per_panel: int = 10
     abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if isinstance(self.panels, bool) or not isinstance(self.panels, (int, np.integer)) or self.panels < 1:
-            raise InvalidConfigError(f"panels must be a positive integer, got {self.panels!r}")
-        if (
-            isinstance(self.nodes_per_panel, bool)
-            or not isinstance(self.nodes_per_panel, (int, np.integer))
-            or self.nodes_per_panel < 2
-        ):
-            raise InvalidConfigError(f"nodes_per_panel must be an integer >= 2, got {self.nodes_per_panel!r}")
+        panels = _check_integer(self.panels, 1, InvalidConfigError, "panels")
+        nodes = _check_integer(self.nodes_per_panel, 2, InvalidConfigError, "nodes_per_panel")
         if not (isinstance(self.abs_tol, (int, float)) and math.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise InvalidConfigError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
-        object.__setattr__(self, "panels", int(self.panels))
-        object.__setattr__(self, "nodes_per_panel", int(self.nodes_per_panel))
+        object.__setattr__(self, "panels", panels)
+        object.__setattr__(self, "nodes_per_panel", nodes)
         object.__setattr__(self, "abs_tol", float(self.abs_tol))
 
 
@@ -140,20 +146,20 @@ def _basis_row(cfg: SpectralConfig, spec: QuadratureSpec, m: int) -> tuple[float
     return row
 
 
-def _grid_values(f, order: int, cfg: SpectralConfig, spec: QuadratureSpec) -> np.ndarray:
-    """Values of the order-th derivative of f on the rule's nodes.
+def _on_grid(f, cfg: SpectralConfig, spec: QuadratureSpec) -> Callable[[int], np.ndarray]:
+    """j -> values of the j-th derivative of f on the rule's nodes.
 
     A trig polynomial on this interval is summed from the basis table in the
     order of ``TrigPolynomial.evaluate``; anything else is evaluated.
     """
     nodes, _ = composite_rule(cfg, spec)
     if isinstance(f, TrigPolynomial) and (f.config.a, f.config.b) == (cfg.a, cfg.b):
-        def column(mode: Mode) -> np.ndarray:
-            omega, cos_psi, sin_psi = _basis_row(cfg, spec, mode.m)
-            return _derivative_wave(cfg, mode.branch, omega, cos_psi, sin_psi, order)
+        def values(j: int) -> np.ndarray:
+            return f._combine(nodes.shape, lambda mode: _derivative_wave(
+                cfg, mode.branch, *_basis_row(cfg, spec, mode.m), j))
 
-        return f._combine(nodes.shape, column)
-    return _values_on(derivative_evaluator(f, order), nodes)
+        return values
+    return lambda j: _values_on(derivative_evaluator(f, j), nodes)
 
 
 def _values_on(g: Callable, nodes: np.ndarray) -> np.ndarray:
@@ -225,21 +231,50 @@ def l2_inner(f, g, cfg: SpectralConfig, spec: QuadratureSpec = DEFAULT_QUADRATUR
     route unconditionally, which verification code uses as an independent
     cross-check of the coefficient path.
     """
+    return _inner(f, g, 0, cfg, spec, force_quadrature)
+
+
+def _inner(f, g, n: int, cfg: SpectralConfig, spec: QuadratureSpec, force_quadrature: bool) -> complex:
+    """(f, g)_n for an integer n >= 0, where n = 0 is the L2 inner product.
+
+    A pair of trig polynomials is summed as sum_m lambda_m**n f_m conj(g_m)
+    over f's modes unless ``force_quadrature`` is set; anything else is
+    ``_ladder_matrix`` on the rule's nodes.
+    """
     if isinstance(f, TrigPolynomial) and isinstance(g, TrigPolynomial) and not force_quadrature:
-        _check_config(f, cfg)
-        _check_config(g, cfg)
+        for p in (f, g):
+            if p.config != cfg:
+                raise InvalidConfigError(
+                    f"trig polynomial config {p.config} does not match requested config {cfg}"
+                )
         total = 0j
         for mode, coeff in f.items():
             other = g.coefficient(mode)
             if other != 0:
+                if n:
+                    coeff = eigenvalue(cfg, mode.m) ** n * coeff
                 total += coeff * other.conjugate()
         return total
-    values = _grid_values(f, 0, cfg, spec) * np.conjugate(_grid_values(g, 0, cfg, spec))
-    return complex(_weighted_sum(values, cfg, spec))
+    return _ladder_matrix([_on_grid(f, cfg, spec)], [_on_grid(g, cfg, spec)], n, cfg, spec)[0][0]
 
 
-def _check_config(p: TrigPolynomial, cfg: SpectralConfig) -> None:
-    if p.config != cfg:
-        raise InvalidConfigError(
-            f"trig polynomial config {p.config} does not match requested config {cfg}"
-        )
+def _ladder_matrix(fs: list, gs: list, n: int, cfg: SpectralConfig,
+                   spec: QuadratureSpec) -> list[list[complex]]:
+    """(f_p, g_q)_n by quadrature for every pair, one derivative order at a time.
+
+    fs and gs hold functions of j giving the j-th derivative on the rule's
+    nodes (``_on_grid``, or a residual of two of them).  Entry (p, q) is
+    sum_j C(n, j) k**(n-j) * integral f_p^(j) conj(g_q^(j)), accumulated in
+    ascending j; n = 0 is the L2 inner product.  Each side's values are
+    taken once per order, not per pair, and only one order's values are
+    held at once, so the working set stays a few dozen node vectors.
+    """
+    total = [[0j] * len(gs) for _ in fs]
+    for j in range(n + 1):
+        weight = math.comb(n, j) * cfg.k ** (n - j)
+        g_conj = [np.conjugate(g(j)) for g in gs]
+        for row, f in zip(total, fs):
+            f_values = f(j)
+            for q, g_values in enumerate(g_conj):
+                row[q] += weight * complex(_weighted_sum(f_values * g_values, cfg, spec))
+    return total

@@ -46,7 +46,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -74,15 +74,19 @@ __all__ = [
     "apply_ell",
     "apply_ell_power",
     "ell_power_coefficients",
-    "derivative_bound",
     "derivative_evaluator",
-    "evaluate_derivative",
-    "require_derivatives",
 ]
 
 # Relative slack accepted when checking x in [a, b]; composite quadrature
 # nodes may overshoot an endpoint by a few ulps.
 _DOMAIN_SLACK = 1e-12
+
+
+def _check_integer(value, minimum: int, error: type[SemiFourierError], name: str) -> int:
+    """value as an int; error when it is a bool, not an integer, or below minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -125,12 +129,7 @@ class Mode:
     branch: Branch
 
     def __post_init__(self) -> None:
-        m = self.m
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-            raise InvalidModeError(f"mode index must be a positive integer, got {m!r}")
-        if m < 1:
-            raise InvalidModeError(f"mode index must be >= 1, got {m}")
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", _check_integer(self.m, 1, InvalidModeError, "mode index"))
         if not isinstance(self.branch, Branch):
             raise InvalidModeError(f"unknown branch {self.branch!r}")
 
@@ -147,27 +146,21 @@ class Mode:
         return (self.m, 0 if self.branch is Branch.COS else 1)
 
 
-def _check_mode_index(m: int) -> int:
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidModeError(f"mode index must be a positive integer, got {m!r}")
-    return int(m)
-
-
 def angular_frequency(cfg: SpectralConfig, m: int) -> float:
     """Frequency (2m - 1) * pi / (b - a) of the m-th eigenfunction pair."""
-    m = _check_mode_index(m)
+    m = _check_integer(m, 1, InvalidModeError, "mode index")
     return (2 * m - 1) * math.pi / (cfg.b - cfg.a)
 
 
 def eigenvalue(cfg: SpectralConfig, m: int) -> float:
     """m-th eigenvalue ((2m - 1) * pi / (b - a))**2 + k, of multiplicity two."""
-    m = _check_mode_index(m)
+    m = _check_integer(m, 1, InvalidModeError, "mode index")
     return ((2 * m - 1) * math.pi / (cfg.b - cfg.a)) ** 2 + cfg.k
 
 
 def angular_frequencies(cfg: SpectralConfig, N: int) -> np.ndarray:
     """omega_1, ..., omega_N as an array, bit-equal to ``angular_frequency``."""
-    N = _check_mode_index(N)
+    N = _check_integer(N, 1, InvalidModeError, "mode count")
     return (2 * np.arange(1, N + 1) - 1) * math.pi / (cfg.b - cfg.a)
 
 
@@ -246,10 +239,7 @@ def basis_eval(cfg: SpectralConfig, mode: Mode, x, deriv_order: int = 0):
     (2m-1) * (x-a)/(b-a) modulo 2, so values at x = a and x = b are exact
     negatives of each other at every derivative order.
     """
-    if isinstance(deriv_order, bool) or not isinstance(deriv_order, (int, np.integer)):
-        raise DerivativeUnavailableError(f"derivative order must be an integer, got {deriv_order!r}")
-    if deriv_order < 0:
-        raise DerivativeUnavailableError(f"derivative order must be >= 0, got {deriv_order}")
+    deriv_order = _check_integer(deriv_order, 0, DerivativeUnavailableError, "derivative order")
     if not isinstance(mode, Mode):
         raise InvalidModeError(f"expected a Mode, got {mode!r}")
 
@@ -378,8 +368,7 @@ class TrigPolynomial:
 
     def derivative(self, order: int = 1) -> "TrigPolynomial":
         """Exact derivative; the basis maps cos -> sin and back with omega factors."""
-        if order < 0:
-            raise DerivativeUnavailableError(f"derivative order must be >= 0, got {order}")
+        order = _check_integer(order, 0, DerivativeUnavailableError, "derivative order")
         poly = self
         for _ in range(order):
             terms: dict[Mode, complex] = {}
@@ -475,44 +464,31 @@ class FunctionHandle:
         return self.derivatives[0](x)
 
 
-def derivative_bound(f) -> int | None:
-    """Highest available derivative order, or None when unlimited."""
-    if isinstance(f, TrigPolynomial):
-        return None
-    if isinstance(f, FunctionHandle):
-        return f.max_deriv
-    if callable(f):
-        return 0
-    raise DerivativeUnavailableError(f"not a function-like object: {f!r}")
-
-
-def require_derivatives(f, order: int) -> None:
-    bound = derivative_bound(f)
-    if bound is not None and order > bound:
-        raise DerivativeUnavailableError(
-            f"need derivatives up to order {order}, function supplies only 0..{bound}"
-        )
-
-
 def derivative_evaluator(f, order: int) -> Callable:
-    """Callable for the order-th derivative of f (trig polynomial or handle)."""
-    require_derivatives(f, order)
+    """Evaluator of the order-th derivative of f.
+
+    A trig polynomial has every order, a handle the orders it supplies and a
+    plain callable order 0 only; any other request raises
+    DerivativeUnavailableError.
+    """
+    order = _check_integer(order, 0, DerivativeUnavailableError, "derivative order")
     if isinstance(f, TrigPolynomial):
         return lambda x: f.evaluate(x, order)
     if isinstance(f, FunctionHandle):
         return f.deriv(order)
-    return f  # plain callable, order == 0 guaranteed by require_derivatives
-
-
-def evaluate_derivative(f, x, order: int = 0):
-    return derivative_evaluator(f, order)(x)
+    if not callable(f):
+        raise DerivativeUnavailableError(f"not a function-like object: {f!r}")
+    if order > 0:
+        raise DerivativeUnavailableError(
+            f"need derivatives up to order {order}, function supplies only 0..0"
+        )
+    return f
 
 
 def boundary_antisymmetry_defect(f, cfg: SpectralConfig, order: int = 0) -> float:
     """|f^(j)(a) + f^(j)(b)|, zero exactly when the j-th derivative is anti-periodic."""
-    fa = evaluate_derivative(f, cfg.a, order)
-    fb = evaluate_derivative(f, cfg.b, order)
-    return abs(complex(fa) + complex(fb))
+    fj = derivative_evaluator(f, order)
+    return abs(complex(fj(cfg.a)) + complex(fj(cfg.b)))
 
 
 def apply_ell(p: TrigPolynomial) -> TrigPolynomial:
@@ -529,11 +505,10 @@ def ell_power_coefficients(n: int, k: float) -> list[float]:
     Expanding (k - d^2/dx^2)^n binomially gives
     c_j = (-1)**j * C(n, j) * k**(n - j).
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidModeError(f"power must be a positive integer, got {n!r}")
+    n = _check_integer(n, 1, InvalidModeError, "power")
     if not k > 0:
         raise InvalidConfigError(f"spectral shift requires k > 0, got {k}")
-    return [(-1) ** j * math.comb(n, j) * k ** (n - j) for j in range(int(n) + 1)]
+    return [(-1) ** j * math.comb(n, j) * k ** (n - j) for j in range(n + 1)]
 
 
 def apply_ell_power(p: TrigPolynomial, n: int, method: str = "iterate") -> TrigPolynomial:
@@ -544,15 +519,14 @@ def apply_ell_power(p: TrigPolynomial, n: int, method: str = "iterate") -> TrigP
     scale the coefficient of mode m by lambda_m**n up to floating-point
     association, and tests hold them together at relative 1e-10.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidModeError(f"power must be a positive integer, got {n!r}")
+    n = _check_integer(n, 1, InvalidModeError, "power")
     if method == "iterate":
         out = p
-        for _ in range(int(n)):
+        for _ in range(n):
             out = apply_ell(out)
         return out
     if method == "binomial":
-        coeffs = ell_power_coefficients(int(n), p.config.k)
+        coeffs = ell_power_coefficients(n, p.config.k)
         acc = TrigPolynomial.zero(p.config)
         for j, c in enumerate(coeffs):
             acc = acc + c * p.derivative(2 * j)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import catalog
-from .expansion import classical_coeffs, expansion_error, leftdef_coeffs, parseval_defect, partial_sum
+from .expansion import classical_coeffs, expansion_error, leftdef_coeffs, partial_sum
 from .ladder import (
     Verdict,
     domain_indicator,
@@ -27,7 +27,7 @@ from .ladder import (
     scaled_basis,
     spectral_inner_r,
 )
-from .quadrature import QuadratureSpec, integrate, l2_inner
+from .quadrature import QuadratureSpec, _ladder_matrix, _on_grid, integrate, l2_inner
 from .report import Report
 from .spectral import (
     Branch,
@@ -36,7 +36,6 @@ from .spectral import (
     TrigPolynomial,
     angular_frequency,
     apply_ell_power,
-    basis_eval,
     basis_polynomial,
     boundary_antisymmetry_defect,
     eigenvalue,
@@ -182,28 +181,16 @@ def suite_ell_power(cfg, spec, params):
     ]
 
 
-def _gram_defect(vectors, inner) -> float:
-    worst = 0.0
-    for i, u in enumerate(vectors):
-        for j, v in enumerate(vectors):
-            got = inner(u, v)
-            want = 1.0 if i == j else 0.0
-            worst = max(worst, abs(got - want))
-    return worst
-
-
 def suite_orthonormality(cfg, spec, params):
     modes = mode_sequence(params["modes"])
     rows = []
-    basis = [basis_polynomial(cfg, md) for md in modes]
-    worst = _gram_defect(basis, lambda u, v: l2_inner(u, v, cfg, spec, force_quadrature=True))
-    rows.append(_row("orthonormality", "l2-gram-quadrature", worst, 1e-8, worst <= 1e-8))
-    for n in range(1, min(params["n_max"], 4) + 1):
-        scaled = [scaled_basis(md, n, cfg) for md in modes]
-        worst = _gram_defect(
-            scaled, lambda u, v, n=n: leftdef_inner(u, v, n, cfg, spec, force_quadrature=True)
-        )
-        rows.append(_row("orthonormality", f"ladder-gram-quadrature-n{n}", worst, 1e-8, worst <= 1e-8))
+    for n in (0, *range(1, min(params["n_max"], 4) + 1)):
+        basis = [scaled_basis(md, n, cfg) if n else basis_polynomial(cfg, md) for md in modes]
+        grid = [_on_grid(z, cfg, spec) for z in basis]
+        gram = np.array(_ladder_matrix(grid, grid, n, cfg, spec))
+        worst = float(np.max(np.abs(gram - np.eye(len(basis)))))
+        check = f"ladder-gram-quadrature-n{n}" if n else "l2-gram-quadrature"
+        rows.append(_row("orthonormality", check, worst, 1e-8, worst <= 1e-8))
     return rows
 
 

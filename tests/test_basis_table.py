@@ -10,6 +10,7 @@ import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ from semifourier import (
     operator_matrix,
     scaled_basis,
 )
-from semifourier import quadrature
+from semifourier import catalog, classical_coeffs, expansion_error, partial_sum, quadrature, spectral
 from semifourier.quadrature import composite_rule
 from semifourier.spectral import _derivative_wave, apply_ell
 
@@ -41,6 +42,13 @@ configs = st.builds(
     lambda a, length, k: SpectralConfig(a, a + length, k),
     st.one_of(st.floats(-10.0, 10.0), st.floats(-1e5, 1e5)),
     st.floats(1e-3, 20.0),
+    st.floats(1e-2, 1e2),
+)
+# Offsets far larger than the interval: |a| of 1e2 to 1e5 against lengths up to 10.
+far_configs = st.builds(
+    lambda a, length, k: SpectralConfig(a, a + length, k),
+    st.one_of(st.floats(1e2, 1e5), st.floats(-1e5, -1e2)),
+    st.floats(1e-2, 10.0),
     st.floats(1e-2, 1e2),
 )
 rules = st.builds(QuadratureSpec, panels=st.integers(1, 12), nodes_per_panel=st.integers(2, 12))
@@ -151,3 +159,39 @@ def test_operator_matrix_holds_one_derivative_order_at_a_time():
         tracemalloc.stop()
     # 16 functions x 4 orders x 2 sides of 640-node vectors would be 1.3 MiB
     assert peak < 512 * 2**10
+
+
+def _pointwise_residual_error(f, cv, M, n, spec):
+    """Expansion error from f^(j) - s_M^(j) evaluated pointwise at the nodes.
+
+    This is how the residual was formed before it was taken on the grid:
+    the handle's derivative and the partial sum's ``evaluate`` at the nodes,
+    then one quadrature per order, weighted C(n, j) k**(n-j) and summed in
+    ascending j (the plain integral for the L2 error).
+    """
+    cfg = cv.config
+    s = partial_sum(cv, M)
+    nodes, _ = composite_rule(cfg, spec)
+    total = 0j
+    for j in range(1 if n is None else n + 1):
+        r = np.asarray(f.deriv(j)(nodes)) - np.asarray(s.evaluate(nodes, j))
+        integral = complex(integrate(lambda x: r * np.conjugate(r), cfg, spec))
+        total = integral if n is None else total + math.comb(n, j) * cfg.k ** (n - j) * integral
+    return math.sqrt(max(total.real, 0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cfg=far_configs, spec=rules,
+       name=st.sampled_from(["sawtooth", "offset-cosine"]), N=st.integers(1, 16),
+       n=st.sampled_from([None, 1, 2, 3]))
+def test_handle_residual_on_grid_equals_pointwise_residual(data, cfg, spec, name, N, n):
+    M = data.draw(st.integers(1, N))
+    f = catalog.resolve(name).handle(cfg)
+    cv = classical_coeffs(f, N, cfg, spec)
+    calls = []
+    basis_eval_ = spectral.basis_eval
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "basis_eval", lambda *a, **kw: calls.append(a) or basis_eval_(*a, **kw))
+        got = expansion_error(f, cv, M, n, spec)
+    assert calls == []
+    assert got == _pointwise_residual_error(f, cv, M, n, spec)

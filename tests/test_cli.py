@@ -138,6 +138,28 @@ def test_spectrum_rejects_non_positive_modes(trunc, capsys):
     assert "--N must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--N", "0"],
+    ["verify", "--N", "0", "--suite", "quadrature"],
+    ["verify", "--N", "-1"],
+])
+def test_verify_rejects_non_positive_modes(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--N must be a positive integer" in captured.err
+
+
+def test_tol_option_is_gone(capsys):
+    # the rule is fixed; no option claims a tolerance that nothing reads
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "eigenvalues", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
 @pytest.mark.parametrize("name", ["mode:0:cos", "mode:-2:sin"])
 def test_coeffs_rejects_mode_index_below_one(name, capsys):
     assert main(["coeffs", "--function", name, "--N", "3"]) == 2

@@ -6,7 +6,12 @@ report cell on its own.  The array eigenvalues, the array closed forms and
 the column renderer must reproduce those bytes exactly.  The list covers
 the large closed-form reports (spectrum and coefficients at N = 2e4 in JSON
 and CSV, the N = 1e5 power-sum norm), the quadrature route and ``verify`` on
-three configurations.
+three configurations.  The handle-route entries (``converge`` and ``norms``
+on handles, direct and rescaled ladder coefficients, the quadrature Gram of
+the orthonormality suite) were recorded from the implementation that
+assembled the residual f - s_M pointwise and formed each Gram entry with
+its own inner-product call; the residual taken on the quadrature grid and
+the one ladder sum per Gram must reproduce them.
 
 A change that alters a report on purpose updates the digest in the same
 change and says which rows changed and why; a digest is never refreshed to
@@ -62,6 +67,24 @@ DIGESTS = [
      "1b9fa60c8b55652641a847f10ca976f92b5f88c2e89f4fad07cab0decbb654d4"),
     ("verify --N 8 --format csv",
      "635a8c0625fe788f41a2bbcfa81701524a947658c644ce0cf8eb61dc19c22765"),
+    # handle routes: the grid residual of converge, the ladder sum of norms
+    # and direct coefficients, the rescale route and the quadrature Gram
+    ("converge --function sawtooth --N 64 --n 2",
+     "ba295141c4f46413b4263c562db6b6c193d7613bad4a3d0609c4370bda6b27fd"),
+    ("converge --function offset-cosine --N 128 --n 2",
+     "2fd8308d6e570d57a80aaf917f917eccefccf8564630229ebf3ff70234120fe6"),
+    ("converge --function offset-cosine --N 100 --n 1 --a 7.5 --b 10.3 --k 0.5",
+     "f0f10640382c4bd97b287bd645f83199b544de7fc756f62b99f15b76f0790fc4"),
+    ("converge --function sawtooth --N 77 --n 2 --a -2.5 --b 0.75 --k 2.2",
+     "cbba4d7c85178397eb811acbafed0ae8d7fd792400491cfc1d66c9d48aa9ef63"),
+    ("norms --function offset-cosine --n 3",
+     "14dab31eb3222994f7c1153b103e5c10ade81fab54a935d1958fe06226bee09d"),
+    ("coeffs --function sawtooth --N 12 --n 2 --method direct",
+     "cc386520c92c325d14ac898c4b7d1d74ba55e147a86e7e4d4b5ec52bd88ee23e"),
+    ("coeffs --function sawtooth --N 300 --n 2",
+     "b02510fdd2008880d18194e7f44dc1443a467e3fdf752366366361eac1b2b0cf"),
+    ("verify --suite quadrature --suite orthonormality --N 12",
+     "5dc6e43d1dcbfa9423caef3d9117a6cf34cc084bd7b5ce6a101152ee12df088a"),
 ]
 
 

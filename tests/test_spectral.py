@@ -27,6 +27,7 @@ from semifourier import (
     ell_power_coefficients,
 )
 from semifourier import catalog
+from semifourier.spectral import derivative_evaluator
 
 
 # ---------------------------------------------------------------- config
@@ -250,6 +251,17 @@ def test_trig_polynomial_derivative_object(cfg):
     assert pp(x) == pytest.approx(basis_eval(cfg, Mode.cos(2), x, 2), rel=1e-13)
 
 
+@pytest.mark.parametrize("order", [1.5, True, -1, "2"])
+def test_trig_polynomial_derivative_rejects_non_integer_orders(cfg, order):
+    with pytest.raises(DerivativeUnavailableError):
+        basis_polynomial(cfg, Mode.cos(2)).derivative(order)
+
+
+def test_trig_polynomial_derivative_accepts_numpy_integers(cfg):
+    p = basis_polynomial(cfg, Mode.cos(2))
+    assert p.derivative(np.int64(3)) == p.derivative(3)
+
+
 # ----------------------------------------------------- shifted second order
 
 def test_ell_power_coefficients_frozen():
@@ -308,6 +320,27 @@ def test_function_handle_derivative_bound(cfg):
     assert f(0.5) == 0.5
     with pytest.raises(DerivativeUnavailableError):
         f.deriv(2)
+
+
+def test_derivative_evaluator_gives_each_supplied_order(cfg):
+    f = FunctionHandle(derivatives=(lambda x: x, lambda x: 1.0))
+    assert derivative_evaluator(f, 1) is f.derivatives[1]
+    p = basis_polynomial(cfg, Mode.sin(3))
+    assert derivative_evaluator(p, 5)(0.4) == basis_eval(cfg, Mode.sin(3), 0.4, 5)
+    g = math.cos
+    assert derivative_evaluator(g, 0) is g
+
+
+@pytest.mark.parametrize("f,order", [
+    (FunctionHandle(derivatives=(math.sin,)), 1),
+    (math.cos, 1),
+    (3.0, 0),
+    (math.cos, -1),
+    (math.cos, 0.5),
+])
+def test_derivative_evaluator_rejects_unavailable_orders(f, order):
+    with pytest.raises(DerivativeUnavailableError):
+        derivative_evaluator(f, order)
 
 
 def test_boundary_defect_requires_derivative(cfg):
