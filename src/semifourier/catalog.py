@@ -50,14 +50,11 @@ class CatalogEntry:
     """A named function, its pointwise handle (if any), and known facts."""
 
     name: str
-    description: str
-    known_ladder: int | None  # largest ladder index with membership; None = all
-    make: Callable[[SpectralConfig], TrigPolynomial | FunctionHandle | None]
+    known_ladder: int | None  # largest ladder index with membership on (0, pi); None = all
+    # cfg -> pointwise handle, or None for a coefficient-only entry
+    handle: Callable[[SpectralConfig], TrigPolynomial | FunctionHandle | None]
     # (cfg, N) -> (a, b): cosine and sine coefficient arrays of modes 1..N
     coeff_formula: Callable[[SpectralConfig, int], tuple[np.ndarray, np.ndarray]] | None = None
-
-    def handle(self, cfg: SpectralConfig):
-        return self.make(cfg)
 
 
 def _shape_preserving(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -139,17 +136,15 @@ def resolve(name: str) -> CatalogEntry:
     if name == "sawtooth":
         return CatalogEntry(
             name="sawtooth",
-            description="x - (a+b)/2",
             known_ladder=1,
-            make=_sawtooth_handle,
+            handle=_sawtooth_handle,
             coeff_formula=_sawtooth_coeffs,
         )
     if name == "offset-cosine":
         return CatalogEntry(
             name="offset-cosine",
-            description="cos(x) * (x - (a+b)/2)",
             known_ladder=0,
-            make=_offset_cosine_handle,
+            handle=_offset_cosine_handle,
             coeff_formula=None,
         )
     if name.startswith("mode:"):
@@ -167,9 +162,8 @@ def resolve(name: str) -> CatalogEntry:
         branch = Branch.COS if parts[2] == "cos" else Branch.SIN
         return CatalogEntry(
             name=name,
-            description=f"basis function z_{{{m},{parts[2]}}}",
             known_ladder=None,
-            make=lambda cfg, m=m, branch=branch: basis_polynomial(cfg, Mode(m, branch)),
+            handle=lambda cfg, m=m, branch=branch: basis_polynomial(cfg, Mode(m, branch)),
             coeff_formula=_mode_coeffs(m, branch),
         )
     if name.startswith("synthetic:"):
@@ -182,9 +176,8 @@ def resolve(name: str) -> CatalogEntry:
             raise SemiFourierError(f"synthetic profile needs p > 0, got {p}")
         return CatalogEntry(
             name=name,
-            description=f"|c_m| = lambda_m**(-{p}/2) on the cosine branch",
             known_ladder=None,
-            make=lambda cfg: None,
+            handle=lambda cfg: None,
             coeff_formula=_synthetic_coeffs(p),
         )
     raise SemiFourierError(
@@ -206,7 +199,7 @@ def coeff_vector(entry: CatalogEntry | str, N: int, cfg: SpectralConfig,
     if entry.coeff_formula is not None and prefer_closed_form:
         a, b = entry.coeff_formula(cfg, _check_truncation(N))
         return CoeffVector(cfg, a, b)
-    f = entry.make(cfg)
+    f = entry.handle(cfg)
     if f is None:
         raise SemiFourierError(f"{entry.name} has no pointwise handle; closed form required")
     return classical_coeffs(f, N, cfg, spec)

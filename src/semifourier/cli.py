@@ -216,6 +216,8 @@ def _cmd_verify(args) -> int:
     spec = _quad_spec(args)
     if args.count is not None:
         _check_count(args.count)
+    if args.n_max is not None:
+        _check_ladder_index(args.n_max)
     names = args.suite if args.suite else list(SUITES)
     if "all" in names:
         names = list(SUITES)

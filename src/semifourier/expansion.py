@@ -24,7 +24,7 @@ from .errors import (
     SemiFourierError,
     TruncationExceededError,
 )
-from .ladder import _check_ladder_index, leftdef_inner, scaled_basis
+from .ladder import _check_ladder_index, leftdef_inner, mode_sequence, scaled_basis
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
@@ -134,7 +134,9 @@ def leftdef_coeffs(f, N: int, n: int, cfg: SpectralConfig,
 
     method="rescale" multiplies classical coefficients by lambda_m**(n/2);
     method="direct" evaluates the defining inner products by quadrature,
-    which requires derivatives of f up to order n.  The two agree up to
+    which requires derivatives of f up to order n: one ladder sum against
+    all 2N scaled basis functions in ``mode_sequence`` order, so each
+    derivative of f is evaluated on the nodes once.  The two agree up to
     quadrature error, which the verification suite checks.
     """
     n = _check_ladder_index(n)
@@ -143,14 +145,9 @@ def leftdef_coeffs(f, N: int, n: int, cfg: SpectralConfig,
     if method == "direct":
         N = _check_truncation(N)
         derivative_evaluator(f, n)
-        a = np.empty(N, dtype=complex)
-        b = np.empty(N, dtype=complex)
-        for m in range(1, N + 1):
-            zc = scaled_basis(Mode(m, Branch.COS), n, cfg)
-            zs = scaled_basis(Mode(m, Branch.SIN), n, cfg)
-            a[m - 1] = leftdef_inner(f, zc, n, cfg, spec, force_quadrature=True)
-            b[m - 1] = leftdef_inner(f, zs, n, cfg, spec, force_quadrature=True)
-        return CoeffVector(cfg, a, b, ladder=n)
+        basis = [_on_grid(scaled_basis(mode, n, cfg), cfg, spec) for mode in mode_sequence(N)]
+        row = np.array(_ladder_matrix([_on_grid(f, cfg, spec)], basis, n, cfg, spec)[0])
+        return CoeffVector(cfg, row[0::2], row[1::2], ladder=n)
     raise SemiFourierError(f"unknown method {method!r}, expected 'rescale' or 'direct'")
 
 

@@ -15,6 +15,16 @@ and ladder coefficients differ by the factor lambda_m**(n/2), and the n-th
 power sums sum_m lambda_m**n * (|a_m|^2 + |b_m|^2) characterize membership.
 The ladder is nested: each space sits strictly inside the previous one.
 
+The paper's domain theorem describes these spaces explicitly: f lies in the
+n-th ladder space (the domain of A**(n/2)) exactly when f^(j) is
+anti-periodic, f^(j)(a) + f^(j)(b) = 0, for every j < n and f^(n) is square
+integrable.  Every domain verdict here applies it through one helper,
+``_boundary_defects``: it returns the defects |f^(j)(a) + f^(j)(b)| and j0,
+the first order whose defect exceeds BOUNDARY_TOL times the L2 norm of f.
+So f is in the n-th space when j0 >= n and the quadrature of |f^(n)|^2 is
+finite; ``in_v_space``, ``domain_indicator`` and the boundary verdicts of
+``membership_classify`` all read j0.
+
 ``membership_classify`` estimates, from a truncated coefficient vector, the
 largest exponent r for which the power sum sum_m lambda_m**r * |c_m|^2 still
 converges.  Since lambda_m grows like m**2, a fitted log-log decay slope s
@@ -118,12 +128,6 @@ def leftdef_inner(f, g, n: int, cfg: SpectralConfig,
     return _inner(f, g, _check_ladder_index(n), cfg, spec, force_quadrature)
 
 
-def _grid_norm_sq(f, order: int, cfg: SpectralConfig, spec: QuadratureSpec):
-    """Quadrature of |f^(order)|^2."""
-    top = _on_grid(f, cfg, spec)(order)
-    return _weighted_sum(top * np.conjugate(top), cfg, spec)
-
-
 def leftdef_norm(f, n: int, cfg: SpectralConfig,
                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Norm sqrt((f, f)_n); the imaginary part of the square is discarded."""
@@ -220,8 +224,7 @@ def _power_sum(lam: np.ndarray, c2: np.ndarray, exponent: float, count: int) -> 
 
 
 def membership_classify(cf, n_max: int, f=None,
-                        spec: QuadratureSpec = DEFAULT_QUADRATURE, *,
-                        boundary_tol: float = BOUNDARY_TOL) -> MembershipReport:
+                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> MembershipReport:
     """Classify ladder membership for n = 1..n_max from coefficients.
 
     Parameters
@@ -232,11 +235,10 @@ def membership_classify(cf, n_max: int, f=None,
         Largest ladder index to judge.
     f : TrigPolynomial or FunctionHandle, optional
         Pointwise handle; enables boundary defect checks, which are decisive
-        for non-membership.  Must supply derivatives up to n_max - 1.
+        for non-membership: index n fails when an order j < n fails.  Must
+        supply derivatives up to n_max - 1.
     spec : QuadratureSpec, optional
-        Used only to normalize boundary defects by the L2 scale.
-    boundary_tol : float, optional
-        Defect threshold relative to the L2 norm of f.
+        Used only for the L2 norm of f that scales BOUNDARY_TOL.
 
     Notes
     -----
@@ -254,18 +256,11 @@ def membership_classify(cf, n_max: int, f=None,
         raise SemiFourierError("membership_classify expects classical coefficients")
     cfg = cf.config
 
-    defects: list[tuple[int, float]] = []
-    boundary_ok_up_to: dict[int, bool] = {}
+    defects: tuple[tuple[int, float], ...] = ()
+    j0 = n_max  # no handle: no boundary verdict
     if f is not None:
         derivative_evaluator(f, n_max - 1)
-        a_arr, b_arr = _coeff_arrays(cf)
-        scale = max(math.sqrt(float(np.sum(np.abs(a_arr) ** 2 + np.abs(b_arr) ** 2))), 1e-300)
-        ok = True
-        for j in range(n_max):
-            d = boundary_antisymmetry_defect(f, cfg, j)
-            defects.append((j, d))
-            ok = ok and d <= boundary_tol * scale
-            boundary_ok_up_to[j + 1] = ok  # space n needs orders 0..n-1
+        defects, j0 = _boundary_defects(f, n_max, cfg, spec)
 
     lam = eigenvalues(cfg, N)
     a_arr, b_arr = _coeff_arrays(cf)
@@ -284,7 +279,7 @@ def membership_classify(cf, n_max: int, f=None,
 
     verdicts: dict[int, Verdict] = {}
     for n in range(1, n_max + 1):
-        if f is not None and not boundary_ok_up_to.get(n, True):
+        if n > j0:
             verdicts[n] = Verdict.NON_MEMBER
             continue
         if math.isinf(critical_r):
@@ -308,7 +303,7 @@ def membership_classify(cf, n_max: int, f=None,
         verdicts[n] = next(v for v, q in _VERDICT_RANK.items() if q == rank)
 
     return MembershipReport(
-        boundary_defects=tuple(defects),
+        boundary_defects=defects,
         decay_slope=slope,
         critical_r=critical_r,
         verdict_per_n=verdicts,
@@ -359,26 +354,41 @@ class DomainVerdict:
     in_operator_domain: bool
 
 
+def _boundary_defects(f, count: int, cfg: SpectralConfig,
+                      spec: QuadratureSpec) -> tuple[tuple[tuple[int, float], ...], int]:
+    """Boundary defects (j, |f^(j)(a) + f^(j)(b)|) for j < count, and j0.
+
+    j0 is the first order whose defect is not within BOUNDARY_TOL times the
+    L2 norm of f under spec, or count when every order is.  By the domain
+    theorem the anti-periodic conditions of the n-th ladder space hold
+    exactly when j0 >= n.
+    """
+    limit = BOUNDARY_TOL * max(math.sqrt(max(l2_inner(f, f, cfg, spec).real, 0.0)), 1e-300)
+    defects = tuple((j, boundary_antisymmetry_defect(f, cfg, j)) for j in range(count))
+    j0 = next((j for j, d in defects if not d <= limit), count)
+    return defects, j0
+
+
+def _derivative_norm_sq(f, order: int, cfg: SpectralConfig, spec: QuadratureSpec) -> float:
+    """Quadrature of |f^(order)|^2; infinite when it cannot be formed on the nodes."""
+    try:
+        top = _on_grid(f, cfg, spec)(order)
+        return float(np.real(_weighted_sum(top * np.conjugate(top), cfg, spec)))
+    except SemiFourierError:
+        return math.inf
+
+
 def in_v_space(f, n: int, cfg: SpectralConfig,
-               spec: QuadratureSpec = DEFAULT_QUADRATURE, *,
-               boundary_tol: float = BOUNDARY_TOL) -> bool:
-    """Direct check of the n-th ladder space: boundary orders 0..n-1 and f^(n) in L2."""
+               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> bool:
+    """Direct check of the n-th ladder space: j0 >= n and f^(n) in L2."""
     n = _check_ladder_index(n)
     derivative_evaluator(f, n)
-    scale = max(math.sqrt(max(l2_inner(f, f, cfg, spec).real, 0.0)), 1e-300)
-    for j in range(n):
-        if boundary_antisymmetry_defect(f, cfg, j) > boundary_tol * scale:
-            return False
-    try:
-        _grid_norm_sq(f, n, cfg, spec)
-    except SemiFourierError:
-        return False
-    return True
+    _, j0 = _boundary_defects(f, n, cfg, spec)
+    return j0 >= n and _derivative_norm_sq(f, n, cfg, spec) < math.inf
 
 
 def domain_indicator(f, n: int, cfg: SpectralConfig,
-                     spec: QuadratureSpec = DEFAULT_QUADRATURE, *,
-                     boundary_tol: float = BOUNDARY_TOL) -> DomainVerdict:
+                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> DomainVerdict:
     """Check membership in the domain of the n-th ladder operator.
 
     The domain of the n-th operator in the self-adjoint ladder is the
@@ -386,29 +396,17 @@ def domain_indicator(f, n: int, cfg: SpectralConfig,
     orders 0..n+1 and the (n+2)-nd derivative must be square integrable.
     n = 0 addresses the base operator itself (domain = second ladder space).
     A separate flag reports membership in the first ladder space, the
-    domain of the operator square root.
+    domain of the operator square root.  Both read j0 from one set of
+    defects.
     """
     n = _check_integer(n, 0, InvalidModeError, "operator index")
     derivative_evaluator(f, n + 2)
-
-    scale = max(math.sqrt(max(l2_inner(f, f, cfg, spec).real, 0.0)), 1e-300)
-    defects = tuple(
-        (j, boundary_antisymmetry_defect(f, cfg, j)) for j in range(n + 2)
-    )
-    try:
-        top_norm_sq = float(np.real(_grid_norm_sq(f, n + 2, cfg, spec)))
-        finite = True
-    except SemiFourierError:
-        top_norm_sq = math.inf
-        finite = False
-
-    ok = [d <= boundary_tol * scale for _, d in defects]
-    in_operator = finite and all(ok)
-    in_sqrt = ok[0] and in_v_space(f, 1, cfg, spec, boundary_tol=boundary_tol)
+    defects, j0 = _boundary_defects(f, n + 2, cfg, spec)
+    top_norm_sq = _derivative_norm_sq(f, n + 2, cfg, spec)
     return DomainVerdict(
         ladder_index=n,
         boundary_defects=defects,
         top_deriv_norm_sq=top_norm_sq,
-        in_sqrt_domain=in_sqrt,
-        in_operator_domain=in_operator,
+        in_sqrt_domain=j0 >= 1 and _derivative_norm_sq(f, 1, cfg, spec) < math.inf,
+        in_operator_domain=j0 >= n + 2 and top_norm_sq < math.inf,
     )

@@ -378,11 +378,12 @@ def suite_domains(cfg, spec, params):
     endpoint_sum = abs(math.cos(cfg.a) * (cfg.a - center)
                        + math.cos(cfg.b) * (cfg.b - center))
     offset_in_v1 = endpoint_sum <= 1e-10
+    saw_domain = domain_indicator(saw, 0, cfg, spec)
     checks = [
         ("sawtooth-in-v1", in_v_space(saw, 1, cfg, spec), True),
         ("sawtooth-not-in-v2", in_v_space(saw, 2, cfg, spec), False),
-        ("sawtooth-sqrt-domain", domain_indicator(saw, 0, cfg, spec).in_sqrt_domain, True),
-        ("sawtooth-not-operator-domain", domain_indicator(saw, 0, cfg, spec).in_operator_domain, False),
+        ("sawtooth-sqrt-domain", saw_domain.in_sqrt_domain, True),
+        ("sawtooth-not-operator-domain", saw_domain.in_operator_domain, False),
         ("offset-cosine-v1-as-expected", in_v_space(offset, 1, cfg, spec), offset_in_v1),
     ]
     for m in (1, 5):

@@ -183,6 +183,19 @@ def test_invalid_ladder_index_exit_code(argv, capsys):
     assert "ladder index must be an integer >= 1" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "orthonormality", "--n", "0"],
+    ["verify", "--suite", "operator-matrix", "--n", "-3"],
+    ["verify", "--n", "0"],
+])
+def test_verify_rejects_ladder_index_below_one(argv, capsys):
+    # checked before any suite runs, so no suite can skip its ladder rows
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ladder index must be an integer >= 1" in captured.err
+
+
 def test_norms_without_n_is_the_l2_norm(capsys):
     code, doc = run_json(capsys, "norms", "--function", "synthetic:3.5", "--N", "50")
     assert code == 0

@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 from semifourier import (
+    Branch,
     CoeffVector,
     FunctionHandle,
     InvalidConfigError,
     Mode,
     NonFiniteIntegrandError,
     SemiFourierError,
+    SpectralConfig,
     TruncationExceededError,
     basis_polynomial,
     classical_coeffs,
     expansion_error,
     leftdef_coeffs,
+    leftdef_inner,
     parseval_defect,
     partial_sum,
+    scaled_basis,
 )
 from semifourier import catalog
+from semifourier.verify import _trig_fixture
 
 
 # --------------------------------------------------------- classical coeffs
@@ -184,3 +189,34 @@ def test_leftdef_coeffs_unknown_method(cfg, spec):
     f = catalog.resolve("sawtooth").handle(cfg)
     with pytest.raises(SemiFourierError):
         leftdef_coeffs(f, 4, 1, cfg, spec, method="fastest")
+
+
+def _counting_handle(f: FunctionHandle, calls: list) -> FunctionHandle:
+    def counted(j, fn):
+        return lambda x: calls.append(j) or fn(x)
+
+    return FunctionHandle(tuple(counted(j, fn) for j, fn in enumerate(f.derivatives)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_direct_coeffs_evaluate_each_derivative_once(cfg, spec, n):
+    calls = []
+    f = _counting_handle(catalog.resolve("offset-cosine").handle(cfg), calls)
+    leftdef_coeffs(f, 16, n, cfg, spec, method="direct")
+    # one grid evaluation per order, not one per mode and order
+    assert sorted(calls) == list(range(n + 1))
+
+
+@pytest.mark.parametrize("a,b,k", [(0.0, math.pi, 1.0), (7.5, 10.3, 0.5), (-2.5, 0.75, 2.2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_direct_coeffs_equal_per_mode_inner_products(a, b, k, n, spec):
+    cfg = SpectralConfig(a, b, k)
+    fixtures = [catalog.resolve(name).handle(cfg) for name in ("sawtooth", "offset-cosine")]
+    for f in fixtures + [_trig_fixture(cfg)]:
+        cv = leftdef_coeffs(f, 16, n, cfg, spec, method="direct")
+        # one inner product per mode and branch, as the route was first written
+        for m in range(1, 17):
+            for branch, got in ((Branch.COS, cv.cos_coeffs), (Branch.SIN, cv.sin_coeffs)):
+                z = scaled_basis(Mode(m, branch), n, cfg)
+                want = leftdef_inner(f, z, n, cfg, spec, force_quadrature=True)
+                assert got[m - 1].tobytes() == np.complex128(want).tobytes(), (m, branch)

@@ -11,7 +11,10 @@ on handles, direct and rescaled ladder coefficients, the quadrature Gram of
 the orthonormality suite) were recorded from the implementation that
 assembled the residual f - s_M pointwise and formed each Gram entry with
 its own inner-product call; the residual taken on the quadrature grid and
-the one ladder sum per Gram must reproduce them.
+the one ladder sum per Gram must reproduce them.  The direct-route entries
+off the default interval were recorded from the implementation that made
+one inner-product call per mode; the one ladder-sum row over all scaled
+basis functions must reproduce them.
 
 A change that alters a report on purpose updates the digest in the same
 change and says which rows changed and why; a digest is never refreshed to
@@ -85,6 +88,16 @@ DIGESTS = [
      "b02510fdd2008880d18194e7f44dc1443a467e3fdf752366366361eac1b2b0cf"),
     ("verify --suite quadrature --suite orthonormality --N 12",
      "5dc6e43d1dcbfa9423caef3d9117a6cf34cc084bd7b5ce6a101152ee12df088a"),
+    # direct ladder coefficients off the default interval, for a handle with
+    # vanishing high derivatives and one without
+    ("coeffs --function sawtooth --N 16 --n 3 --method direct --a 7.5 --b 10.3 --k 0.5",
+     "8fdf07f17441566bffb96415b8274ece4a921ec5395f98f29390600ef80c7064"),
+    ("coeffs --function sawtooth --N 16 --n 3 --method direct --a -2.5 --b 0.75 --k 2.2",
+     "c338e63ae58302ff723fd054b8437526b0484721edb14664f2aa04183f837fe7"),
+    ("coeffs --function offset-cosine --N 16 --n 1 --method direct --a 7.5 --b 10.3 --k 0.5",
+     "2372217ba5e1294eafeeffbe535e7a01fc60684381f87f423f8be6a367a2a2ed"),
+    ("coeffs --function offset-cosine --N 16 --n 1 --method direct --a -2.5 --b 0.75 --k 2.2",
+     "99a8846d59176e67548c00bfaa2604b4ffdd35ef8142368968d54cdf15978341"),
 ]
 
 
