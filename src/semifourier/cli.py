@@ -19,8 +19,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import catalog
 from .errors import SemiFourierError
 from .expansion import _rescale, expansion_error, leftdef_coeffs
@@ -160,12 +158,9 @@ def _cmd_norms(args) -> int:
             sq = l2_inner(f, f, cfg, spec) if n is None else leftdef_inner(f, f, n, cfg, spec)
             quad = math.sqrt(max(sq.real, 0.0))
             rows.append({"method": "definition-quadrature", "n": 0 if n is None else n, "value": quad})
-        weight = 0.0 if n is None else float(n)
-        series = math.sqrt(max(spectral_inner_r(cv, cv, weight).real, 0.0)) if weight > 0 else math.sqrt(
-            max(float(np.sum(np.abs(cv.cos_coeffs) ** 2 + np.abs(cv.sin_coeffs) ** 2)), 0.0)
-        )
+        sq = cv.power_sum() if n is None else max(spectral_inner_r(cv, cv, n).real, 0.0)
         rows.append({"method": "coefficient-series", "n": 0 if n is None else n,
-                     "N": args.trunc, "value": series})
+                     "N": args.trunc, "value": math.sqrt(sq)})
         params = {"function": args.function, "n": 0 if n is None else n, "N": args.trunc}
     _emit(Report("norms", cfg, params, rows), args)
     return 0
@@ -189,8 +184,6 @@ def _cmd_converge(args) -> int:
     entry = catalog.resolve(args.function)
     cv = catalog.coeff_vector(entry, args.trunc, cfg, spec)
     f = entry.handle(cfg)
-    lam = eigenvalues(cfg, cv.size)
-    c2 = np.abs(cv.cos_coeffs) ** 2 + np.abs(cv.sin_coeffs) ** 2
     rows = []
     for M in _checkpoints(args.trunc):
         row: dict = {"M": M}
@@ -200,9 +193,9 @@ def _cmd_converge(args) -> int:
                 row["ladder_error"] = expansion_error(f, cv, M, args.n, spec)
         else:
             # coefficient-only entry: tail within the stored truncation
-            row["l2_error"] = math.sqrt(float(np.sum(c2[M:])))
+            row["l2_error"] = math.sqrt(cv.power_sum(start=M))
             if args.n is not None:
-                row["ladder_error"] = math.sqrt(float(np.sum(lam[M:] ** args.n * c2[M:])))
+                row["ladder_error"] = math.sqrt(cv.power_sum(args.n, start=M))
         rows.append(row)
     params = {"function": args.function, "N": args.trunc}
     if args.n is not None:

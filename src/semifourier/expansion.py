@@ -9,12 +9,18 @@ in any ladder norm the function supports.  For a function handle the
 residual f - s_M is taken on the quadrature grid, as the handle's values
 minus the partial sum's values from the basis table, and goes through the
 same ladder sum as every other quadrature-route inner product.
+
+A ``CoeffVector`` owns the coefficient side of the ladder: its eigenvalues
+lambda_1..lambda_N, its per-mode power |a_m|^2 + |b_m|^2 and the power sums
+sum_m lambda_m**r * (|a_m|^2 + |b_m|^2), each built once per vector.  Every
+rescaling, Parseval defect, series norm and tail reads them from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +67,8 @@ class CoeffVector:
     """Expansion coefficients for modes 1..N on both branches.
 
     ladder is None for classical L2 coefficients; an integer n marks
-    coefficients taken against the n-th rescaled basis.
+    coefficients taken against the n-th rescaled basis.  ``eigenvalues`` and
+    ``power`` are built on first use and kept, read-only.
     """
 
     config: SpectralConfig
@@ -94,6 +101,27 @@ class CoeffVector:
             raise TruncationExceededError(f"mode {mode.m} beyond truncation {self.size}")
         arr = self.cos_coeffs if mode.branch is Branch.COS else self.sin_coeffs
         return complex(arr[mode.m - 1])
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """lambda_1, ..., lambda_N of the vector's config."""
+        lam = eigenvalues(self.config, self.size)
+        lam.flags.writeable = False
+        return lam
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        """|a_m|^2 + |b_m|^2 for m = 1..N."""
+        c2 = np.abs(self.cos_coeffs) ** 2 + np.abs(self.sin_coeffs) ** 2
+        c2.flags.writeable = False
+        return c2
+
+    def power_sum(self, r: float = 0, start: int = 0, stop: int | None = None) -> float:
+        """sum lambda_m**r * power_m over power[start:stop]; r = 0 builds no eigenvalues."""
+        power = self.power[start:stop]
+        if r == 0:
+            return float(np.sum(power))
+        return float(np.sum(self.eigenvalues[start:stop] ** r * power))
 
 
 def _check_truncation(N: int) -> int:
@@ -153,7 +181,7 @@ def leftdef_coeffs(f, N: int, n: int, cfg: SpectralConfig,
 
 def _rescale(cv: CoeffVector, n: int) -> CoeffVector:
     """Ladder coefficients lambda_m**(n/2) * c_m from classical ones."""
-    factor = eigenvalues(cv.config, cv.size) ** (n / 2.0)
+    factor = cv.eigenvalues ** (n / 2.0)
     return CoeffVector(cv.config, factor * cv.cos_coeffs, factor * cv.sin_coeffs, ladder=n)
 
 
@@ -212,17 +240,8 @@ def parseval_defect(f, cv: CoeffVector, n: int | None = None,
         n = _check_ladder_index(n)
         norm_sq = leftdef_inner(f, f, n, cfg, spec).real
 
-    c2 = np.abs(cv.cos_coeffs) ** 2 + np.abs(cv.sin_coeffs) ** 2
     if cv.ladder is None:
-        if n is None:
-            weights = np.ones(cv.size)
-        else:
-            weights = eigenvalues(cfg, cv.size) ** float(n)
-        series = float(np.sum(weights * c2))
-    else:
-        if n != cv.ladder:
-            raise SemiFourierError(
-                f"ladder coefficients for n={cv.ladder} cannot certify the n={n} norm"
-            )
-        series = float(np.sum(c2))
-    return norm_sq - series
+        return norm_sq - cv.power_sum(0 if n is None else n)
+    if n != cv.ladder:
+        raise SemiFourierError(f"ladder coefficients for n={cv.ladder} cannot certify the n={n} norm")
+    return norm_sq - cv.power_sum()

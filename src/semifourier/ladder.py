@@ -71,7 +71,6 @@ from .spectral import (
     boundary_antisymmetry_defect,
     derivative_evaluator,
     eigenvalue,
-    eigenvalues,
 )
 
 __all__ = [
@@ -166,10 +165,6 @@ def lower_bound_margin(f, n: int, cfg: SpectralConfig,
     return ladder_sq - cfg.k**n * l2_sq
 
 
-def _coeff_arrays(cv) -> tuple[np.ndarray, np.ndarray]:
-    return np.asarray(cv.cos_coeffs), np.asarray(cv.sin_coeffs)
-
-
 def spectral_inner_r(cf, cg, r: float) -> complex:
     """Coefficient-side inner product sum_m lambda_m**r * (a_f conj(a_g) + b_f conj(b_g)).
 
@@ -184,11 +179,9 @@ def spectral_inner_r(cf, cg, r: float) -> complex:
         raise TruncationMismatchError(f"truncation orders differ: {cf.size} vs {cg.size}")
     if cf.ladder is not None or cg.ladder is not None:
         raise SemiFourierError("spectral_inner_r expects classical coefficient vectors")
-    lam = eigenvalues(cf.config, cf.size)
-    af, bf = _coeff_arrays(cf)
-    ag, bg = _coeff_arrays(cg)
-    total = np.sum(lam**r * (af * np.conjugate(ag) + bf * np.conjugate(bg)))
-    return complex(total)
+    # cross products even when cf is cg: |a|^2 + |b|^2 would round differently
+    cross = cf.cos_coeffs * np.conjugate(cg.cos_coeffs) + cf.sin_coeffs * np.conjugate(cg.sin_coeffs)
+    return complex(np.sum(cf.eigenvalues**r * cross))
 
 
 class Verdict(enum.Enum):
@@ -217,10 +210,6 @@ class MembershipReport:
     decay_slope: float
     critical_r: float
     verdict_per_n: dict[int, Verdict]
-
-
-def _power_sum(lam: np.ndarray, c2: np.ndarray, exponent: float, count: int) -> float:
-    return float(np.sum(lam[:count] ** exponent * c2[:count]))
 
 
 def membership_classify(cf, n_max: int, f=None,
@@ -262,9 +251,7 @@ def membership_classify(cf, n_max: int, f=None,
         derivative_evaluator(f, n_max - 1)
         defects, j0 = _boundary_defects(f, n_max, cfg, spec)
 
-    lam = eigenvalues(cfg, N)
-    a_arr, b_arr = _coeff_arrays(cf)
-    c2 = np.abs(a_arr) ** 2 + np.abs(b_arr) ** 2
+    lam, c2 = cf.eigenvalues, cf.power
 
     upper = np.arange(N) + 1 > N // 2
     keep = upper & (np.sqrt(c2) > NOISE_FLOOR)
@@ -291,8 +278,8 @@ def membership_classify(cf, n_max: int, f=None,
         if n > critical_r:
             verdicts[n] = Verdict.NON_MEMBER
             continue
-        full = _power_sum(lam, c2, n, N)
-        half = _power_sum(lam, c2, n, N // 2)
+        full = cf.power_sum(n)
+        half = cf.power_sum(n, stop=N // 2)
         plateau = full <= 0.0 or (full - half) <= PLATEAU_FRACTION * full
         verdicts[n] = Verdict.MEMBER if plateau else Verdict.INCONCLUSIVE
 

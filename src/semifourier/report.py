@@ -112,7 +112,7 @@ def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, str):
-        if any(ch in value for ch in ',"\n'):
+        if any(ch in value for ch in ',"\n\r'):
             return '"' + value.replace('"', '""') + '"'
         return value
     if isinstance(value, bool) or isinstance(value, np.bool_):

@@ -51,14 +51,17 @@ def default_params() -> dict:
     return {"modes": 8, "n_max": 3, "trunc": 200, "samples": 25}
 
 
-def _row(suite: str, check: str, observed: float, tolerance: float, passed: bool) -> dict:
-    return {
-        "suite": suite,
-        "check": check,
-        "observed": float(observed),
-        "tolerance": float(tolerance),
-        "passed": bool(passed),
-    }
+def _row(suite: str, check: str, observed: float, tolerance: float, passed: bool | None = None) -> dict:
+    """One check; it passes when observed <= tolerance unless passed says otherwise."""
+    observed, tolerance = float(observed), float(tolerance)
+    passed = observed <= tolerance if passed is None else passed
+    return {"suite": suite, "check": check, "observed": observed, "tolerance": tolerance,
+            "passed": bool(passed)}
+
+
+def _flag(suite: str, check: str, ok: bool) -> dict:
+    """A yes/no check: observed 0 when it holds, 1 when it does not."""
+    return _row(suite, check, 0.0 if ok else 1.0, 0.0, ok)
 
 
 def _trig_fixture(cfg: SpectralConfig) -> TrigPolynomial:
@@ -78,7 +81,7 @@ def suite_eigenvalues(cfg, spec, params):
     lam = eigenvalues(cfg, modes + 1).tolist()
     expected = [((2 * m - 1) * math.pi / (cfg.b - cfg.a)) ** 2 + cfg.k for m in range(1, modes + 2)]
     rel = max(abs(l - e) / e for l, e in zip(lam, expected))
-    rows = [_row("eigenvalues", "closed-form", rel, 1e-15, rel <= 1e-15)]
+    rows = [_row("eigenvalues", "closed-form", rel, 1e-15)]
     gap = min(b - a for a, b in zip(lam, lam[1:]))
     rows.append(_row("eigenvalues", "strictly-increasing", gap, 0.0, gap > 0.0))
     margin = min(lam) - cfg.k
@@ -93,7 +96,7 @@ def suite_basis_boundary(cfg, spec, params):
             z = basis_polynomial(cfg, Mode(m, branch))
             for order in range(7):
                 worst = max(worst, boundary_antisymmetry_defect(z, cfg, order))
-    return [_row("basis-boundary", "antisymmetry-defect-orders-0-6", worst, 1e-12, worst <= 1e-12)]
+    return [_row("basis-boundary", "antisymmetry-defect-orders-0-6", worst, 1e-12)]
 
 
 def suite_quadrature(cfg, spec, params):
@@ -106,7 +109,7 @@ def suite_quadrature(cfg, spec, params):
         got = integrate(lambda x, d=deg: x**d, cfg, spec)
         scale = max(abs(exact), 1.0)
         worst = max(worst, abs(got - exact) / scale)
-    rows.append(_row("quadrature", "polynomial-exactness", worst, 1e-12, worst <= 1e-12))
+    rows.append(_row("quadrature", "polynomial-exactness", worst, 1e-12))
 
     # halving the panel width cuts the error by >= 10x until the noise floor;
     # the exponential weight keeps the probe off the rule's symmetry axes,
@@ -140,13 +143,12 @@ def suite_quadrature(cfg, spec, params):
     lhs = integrate(lambda x: 2.5 * np.asarray(f(x)) - 1.25 * np.asarray(g(x)), cfg, spec)
     rhs = 2.5 * integrate(f, cfg, spec) - 1.25 * integrate(g, cfg, spec)
     resid = abs(lhs - rhs)
-    rows.append(_row("quadrature", "linearity", resid, 1e-13, resid <= 1e-13))
+    rows.append(_row("quadrature", "linearity", resid, 1e-13))
 
     # bit-stable repetition
     twice = integrate(f, cfg, spec)
     again = integrate(f, cfg, spec)
-    same = float(twice == again)
-    rows.append(_row("quadrature", "deterministic-repeat", 1.0 - same, 0.0, twice == again))
+    rows.append(_flag("quadrature", "deterministic-repeat", twice == again))
     return rows
 
 
@@ -176,8 +178,8 @@ def suite_ell_power(cfg, spec, params):
             diag = eigenvalue(cfg, mode.m) ** n * poly.coefficient(mode)
             worst_diag = max(worst_diag, abs(ci - diag) / max(abs(diag), 1e-300))
     return [
-        _row("ell-power", "binomial-vs-iterated", worst_pair, 1e-10, worst_pair <= 1e-10),
-        _row("ell-power", "diagonal-action", worst_diag, 1e-10, worst_diag <= 1e-10),
+        _row("ell-power", "binomial-vs-iterated", worst_pair, 1e-10),
+        _row("ell-power", "diagonal-action", worst_diag, 1e-10),
     ]
 
 
@@ -190,7 +192,7 @@ def suite_orthonormality(cfg, spec, params):
         gram = np.array(_ladder_matrix(grid, grid, n, cfg, spec))
         worst = float(np.max(np.abs(gram - np.eye(len(basis)))))
         check = f"ladder-gram-quadrature-n{n}" if n else "l2-gram-quadrature"
-        rows.append(_row("orthonormality", check, worst, 1e-8, worst <= 1e-8))
+        rows.append(_row("orthonormality", check, worst, 1e-8))
     return rows
 
 
@@ -203,7 +205,7 @@ def suite_fundamental_relation(cfg, spec, params):
         for branch in Branch:
             d = fundamental_relation_defect(Mode(m, branch), saw, 1, cfg, spec)
             worst = max(worst, d / lam)
-    rows.append(_row("fundamental-relation", "sawtooth-n1", worst, 1e-7, worst <= 1e-7))
+    rows.append(_row("fundamental-relation", "sawtooth-n1", worst, 1e-7))
 
     fixture = _trig_fixture(cfg)
     worst = 0.0
@@ -213,7 +215,7 @@ def suite_fundamental_relation(cfg, spec, params):
             for branch in Branch:
                 d = fundamental_relation_defect(Mode(m, branch), fixture, n, cfg, spec)
                 worst = max(worst, d / lam_n)
-    rows.append(_row("fundamental-relation", "trig-fixture", worst, 1e-7, worst <= 1e-7))
+    rows.append(_row("fundamental-relation", "trig-fixture", worst, 1e-7))
     return rows
 
 
@@ -232,7 +234,7 @@ def suite_rescale(cfg, spec, params):
             np.max(np.abs(direct.cos_coeffs - rescaled.cos_coeffs)),
             np.max(np.abs(direct.sin_coeffs - rescaled.sin_coeffs)),
         ) / max(scale, 1e-300)
-        rows.append(_row("rescale", label, worst, 1e-7, worst <= 1e-7))
+        rows.append(_row("rescale", label, worst, 1e-7))
     return rows
 
 
@@ -259,7 +261,7 @@ def suite_diagonal_identity(cfg, spec, params):
         lhs = leftdef_inner(p, q, n, cfg)
         rhs = l2_inner(apply_ell_power(p, n), q, cfg)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    return [_row("diagonal-identity", "ladder-vs-ell-power", worst, 1e-13, worst <= 1e-13)]
+    return [_row("diagonal-identity", "ladder-vs-ell-power", worst, 1e-13)]
 
 
 def suite_norm_ladder(cfg, spec, params):
@@ -269,7 +271,7 @@ def suite_norm_ladder(cfg, spec, params):
         lhs = spectral_inner_r(cf, cf, r).real
         rhs = cfg.k ** (r - s) * spectral_inner_r(cf, cf, s).real
         worst = max(worst, (lhs - rhs) / max(abs(rhs), 1e-300))
-    return [_row("norm-ladder", "power-sum-monotone", worst, 1e-12, worst <= 1e-12)]
+    return [_row("norm-ladder", "power-sum-monotone", worst, 1e-12)]
 
 
 def suite_operator_matrix(cfg, spec, params):
@@ -281,11 +283,11 @@ def suite_operator_matrix(cfg, spec, params):
         off = mat - np.diag(np.diag(mat))
         worst_off = float(np.max(np.abs(off)))
         worst_diag = float(np.max(np.abs(np.diag(mat) - lam)))
-        rows.append(_row("operator-matrix", f"offdiag-quadrature-n{n}", worst_off, 1e-8, worst_off <= 1e-8))
-        rows.append(_row("operator-matrix", f"diag-eigenvalues-n{n}", worst_diag, 1e-10, worst_diag <= 1e-10))
+        rows.append(_row("operator-matrix", f"offdiag-quadrature-n{n}", worst_off, 1e-8))
+        rows.append(_row("operator-matrix", f"diag-eigenvalues-n{n}", worst_diag, 1e-10))
     exact = operator_matrix(1, N, cfg, spec)
     resid = float(np.max(np.abs(exact - np.diag(lam))))
-    rows.append(_row("operator-matrix", "exact-route-diagonal", resid, 1e-12, resid <= 1e-12))
+    rows.append(_row("operator-matrix", "exact-route-diagonal", resid, 1e-12))
     return rows
 
 
@@ -297,14 +299,12 @@ def suite_parseval(cfg, spec, params):
     norm_sq = l2_inner(saw, saw, cfg, spec).real
     exact = L**3 / 12.0
     err = abs(norm_sq - exact) / exact
-    rows.append(_row("parseval", "l2-norm-closed-form", err, 1e-10, err <= 1e-10))
+    rows.append(_row("parseval", "l2-norm-closed-form", err, 1e-10))
 
     N = max(params["trunc"], 200)
     cv = catalog.coeff_vector(saw_entry, N, cfg, spec)
-    defect = exact - float(
-        np.sum(np.abs(cv.cos_coeffs) ** 2 + np.abs(cv.sin_coeffs) ** 2)
-    )
-    rows.append(_row("parseval", "classical-tail", abs(defect), 1e-7, abs(defect) <= 1e-7))
+    defect = exact - cv.power_sum()
+    rows.append(_row("parseval", "classical-tail", abs(defect), 1e-7))
 
     N1 = max(params["trunc"], 400)
     cv1 = catalog.coeff_vector(saw_entry, N1, cfg, spec)
@@ -325,12 +325,12 @@ def suite_bessel(cfg, spec, params):
     saw = saw_entry.handle(cfg)
     cv = catalog.coeff_vector(saw_entry, 64, cfg, spec)
     norm_sq = l2_inner(saw, saw, cfg, spec).real
-    c2 = np.cumsum(np.abs(cv.cos_coeffs) ** 2 + np.abs(cv.sin_coeffs) ** 2)
+    c2 = np.cumsum(cv.power)
     monotone = bool(np.all(np.diff(c2) >= 0.0))
     bounded = float(c2[-1]) <= norm_sq + 1e-10
     overshoot = float(c2[-1]) - norm_sq
     return [
-        _row("bessel", "partial-sums-monotone", 0.0 if monotone else 1.0, 0.0, monotone),
+        _flag("bessel", "partial-sums-monotone", monotone),
         _row("bessel", "bounded-by-norm", overshoot, 1e-10, bounded),
     ]
 
@@ -342,7 +342,7 @@ def suite_idempotence(cfg, spec, params):
         np.array_equal(cv.cos_coeffs, back.cos_coeffs)
         and np.array_equal(cv.sin_coeffs, back.sin_coeffs)
     )
-    return [_row("idempotence", "coeffs-of-partial-sum", 0.0 if same else 1.0, 0.0, same)]
+    return [_flag("idempotence", "coeffs-of-partial-sum", same)]
 
 
 def suite_error_tail(cfg, spec, params):
@@ -351,19 +351,17 @@ def suite_error_tail(cfg, spec, params):
     saw_entry = catalog.resolve("sawtooth")
     saw = saw_entry.handle(cfg)
     cv = catalog.coeff_vector(saw_entry, 64, cfg, spec)
-    c2 = np.abs(cv.cos_coeffs) ** 2 + np.abs(cv.sin_coeffs) ** 2
-    lam = eigenvalues(cfg, cv.size)
     M = 10
     # exact infinite power sums of the closed-form coefficients
     total_l2 = L**3 / 12.0
     total_n1 = L + cfg.k * L**3 / 12.0
-    tail_l2 = total_l2 - float(np.sum(c2[:M]))
-    tail_n1 = total_n1 - float(np.sum(lam[:M] * c2[:M]))
+    tail_l2 = total_l2 - cv.power_sum(stop=M)
+    tail_n1 = total_n1 - cv.power_sum(1, stop=M)
     for label, n, tail in (("l2", None, tail_l2), ("ladder-n1", 1, tail_n1)):
         err = expansion_error(saw, cv, M, n, spec)
         resid = abs(err**2 - tail)
         tol = 2.0 * spec.abs_tol + 1e-12 * max(tail, 1.0)
-        rows.append(_row("error-tail", f"duality-{label}", resid, tol, resid <= tol))
+        rows.append(_row("error-tail", f"duality-{label}", resid, tol))
     return rows
 
 
@@ -391,7 +389,7 @@ def suite_domains(cfg, spec, params):
         checks.append((f"mode{m}-in-v6", in_v_space(z, 6, cfg, spec), True))
         checks.append((f"mode{m}-operator-domain-n3", domain_indicator(z, 3, cfg, spec).in_operator_domain, True))
     for label, got, want in checks:
-        rows.append(_row("domains", label, 0.0 if got == want else 1.0, 0.0, got == want))
+        rows.append(_flag("domains", label, got == want))
     return rows
 
 
@@ -403,24 +401,24 @@ def suite_ladder_fixtures(cfg, spec, params):
     rep = membership_classify(cv, 2, f=saw_entry.handle(cfg), spec=spec)
     ok1 = rep.verdict_per_n[1] is Verdict.MEMBER
     ok2 = rep.verdict_per_n[2] is Verdict.NON_MEMBER
-    rows.append(_row("ladder-fixtures", "sawtooth-member-n1", 0.0 if ok1 else 1.0, 0.0, ok1))
-    rows.append(_row("ladder-fixtures", "sawtooth-nonmember-n2", 0.0 if ok2 else 1.0, 0.0, ok2))
+    rows.append(_flag("ladder-fixtures", "sawtooth-member-n1", ok1))
+    rows.append(_flag("ladder-fixtures", "sawtooth-nonmember-n2", ok2))
     dev = abs(rep.critical_r - 1.5)
-    rows.append(_row("ladder-fixtures", "sawtooth-critical-exponent", dev, 0.1, dev <= 0.1))
+    rows.append(_row("ladder-fixtures", "sawtooth-critical-exponent", dev, 0.1))
 
     p = 3.5
     cv_syn = catalog.coeff_vector(f"synthetic:{p}", N, cfg, spec)
     rep_syn = membership_classify(cv_syn, 2, spec=spec)
     # density-corrected convergence threshold of sum lambda**(r-p): r = p - 1/2
     dev = abs(rep_syn.critical_r - (p - 0.5))
-    rows.append(_row("ladder-fixtures", "synthetic-critical-exponent", dev, 0.1, dev <= 0.1))
+    rows.append(_row("ladder-fixtures", "synthetic-critical-exponent", dev, 0.1))
 
     cv_mode = catalog.coeff_vector("mode:5:sin", 64, cfg, spec)
     rep_mode = membership_classify(cv_mode, 4, spec=spec)
     all_member = all(v is Verdict.MEMBER for v in rep_mode.verdict_per_n.values())
     inf_ok = math.isinf(rep_mode.critical_r)
-    rows.append(_row("ladder-fixtures", "basis-member-every-n", 0.0 if all_member else 1.0, 0.0, all_member))
-    rows.append(_row("ladder-fixtures", "basis-critical-infinite", 0.0 if inf_ok else 1.0, 0.0, inf_ok))
+    rows.append(_flag("ladder-fixtures", "basis-member-every-n", all_member))
+    rows.append(_flag("ladder-fixtures", "basis-critical-infinite", inf_ok))
     return rows
 
 

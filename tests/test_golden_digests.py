@@ -98,6 +98,17 @@ DIGESTS = [
      "2372217ba5e1294eafeeffbe535e7a01fc60684381f87f423f8be6a367a2a2ed"),
     ("coeffs --function offset-cosine --N 16 --n 1 --method direct --a -2.5 --b 0.75 --k 2.2",
      "99a8846d59176e67548c00bfaa2604b4ffdd35ef8142368968d54cdf15978341"),
+    # the power sums of norms and converge, and the parseval, bessel and
+    # error-tail rows off the default interval
+    ("norms --function sawtooth --n 2 --N 5000",
+     "a79b3b5670e519601fc3518e509b4cd5ed645f961b31c209889c54587b7a7bf6"),
+    ("norms --function synthetic:4 --n 1 --N 3000 --format csv",
+     "2c05a94613364ea538b9217858b31a0e333188792f661d789a16412ba7705eb4"),
+    ("converge --function synthetic:2.5 --N 4096 --n 2 --format csv",
+     "56f6264277f49fa249d30cfa3a57b996a2f2e60abeba70c98d703944ec181bb9"),
+    ("verify --suite parseval --suite bessel --suite error-tail --suite ladder-fixtures"
+     " --N 10 --a 3.3 --b 5.9 --k 0.3",
+     "c0b7b1b674ef29d3287910ea017c6f3bde4c3ba81241b15087ee79a05de8a335"),
 ]
 
 

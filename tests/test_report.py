@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -161,3 +163,50 @@ def test_column_renderer_on_large_typed_columns(cfg):
     report = Report("demo", cfg, {"N": len(rows)}, rows)
     assert render_json(report) == _json_per_cell(report)
     assert render_csv(report) == _csv_per_cell(report)
+
+
+# ------------------------------------------- determinism and parse-back
+# Any report renders to the same bytes every time, its JSON reads back to
+# the values it was built from, and its CSV holds one record per row.
+
+PLAIN_CELLS = st.one_of(
+    _floats,
+    st.integers(-(10**20), 10**20),
+    st.builds(complex, _floats, _floats),
+    st.text(),
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def plain_reports(draw):
+    rows = draw(st.lists(st.dictionaries(st.sampled_from(["x", "y", "z", "w"]), PLAIN_CELLS),
+                         max_size=12))
+    return Report("demo", SpectralConfig(0.0, math.pi, 1.0), {"N": len(rows)}, rows)
+
+
+def _read_back(cell, value) -> bool:
+    """Whether a parsed JSON cell carries the value it was rendered from."""
+    if isinstance(value, complex):
+        return list(cell) == ["re", "im"] and _read_back(cell["re"], value.real) and _read_back(
+            cell["im"], value.imag)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return not isinstance(cell, (bool, str)) and float(cell) == value
+        return cell == ("nan" if math.isnan(value) else "inf" if value > 0 else "-inf")
+    return type(cell) is type(value) and cell == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=plain_reports())
+def test_render_deterministic_and_parses_back(report):
+    text = render_json(report)
+    assert render_json(report) == text
+    assert render_csv(report) == render_csv(report)
+    rows = json.loads(text)["rows"]
+    assert [list(row) for row in rows] == [list(row) for row in report.rows]
+    for parsed, row in zip(rows, report.rows):
+        assert all(_read_back(parsed[key], value) for key, value in row.items())
+    records = list(csv.reader(io.StringIO(render_csv(report), newline="")))
+    assert len(records) == 1 + len(report.rows)
