@@ -174,7 +174,7 @@ def leftdef_coeffs(f, N: int, n: int, cfg: SpectralConfig,
         N = _check_truncation(N)
         derivative_evaluator(f, n)
         basis = [_on_grid(scaled_basis(mode, n, cfg), cfg, spec) for mode in mode_sequence(N)]
-        row = np.array(_ladder_matrix([_on_grid(f, cfg, spec)], basis, n, cfg, spec)[0])
+        row = _ladder_matrix([_on_grid(f, cfg, spec)], basis, n, cfg, spec)[0]
         return CoeffVector(cfg, row[0::2], row[1::2], ladder=n)
     raise SemiFourierError(f"unknown method {method!r}, expected 'rescale' or 'direct'")
 
@@ -221,7 +221,7 @@ def expansion_error(f, cv: CoeffVector, M: int, n: int | None = None,
         def residual(j: int) -> np.ndarray:
             return f_grid(j) - s_grid(j)
 
-        sq = _ladder_matrix([residual], [residual], order, cfg, spec)[0][0]
+        sq = _ladder_matrix([residual], [residual], order, cfg, spec)[0, 0]
     return math.sqrt(max(sq.real, 0.0))
 
 

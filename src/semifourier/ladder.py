@@ -20,10 +20,11 @@ n-th ladder space (the domain of A**(n/2)) exactly when f^(j) is
 anti-periodic, f^(j)(a) + f^(j)(b) = 0, for every j < n and f^(n) is square
 integrable.  Every domain verdict here applies it through one helper,
 ``_boundary_defects``: it returns the defects |f^(j)(a) + f^(j)(b)| and j0,
-the first order whose defect exceeds BOUNDARY_TOL times the L2 norm of f.
-So f is in the n-th space when j0 >= n and the quadrature of |f^(n)|^2 is
-finite; ``in_v_space``, ``domain_indicator`` and the boundary verdicts of
-``membership_classify`` all read j0.
+the first order whose defect exceeds BOUNDARY_TOL times the L2 norm of f
+plus the rounding of the endpoint values, which far from the origin is the
+larger of the two.  So f is in the n-th space when j0 >= n and the
+quadrature of |f^(n)|^2 is finite; ``in_v_space``, ``domain_indicator``
+and the boundary verdicts of ``membership_classify`` all read j0.
 
 ``membership_classify`` estimates, from a truncated coefficient vector, the
 largest exponent r for which the power sum sum_m lambda_m**r * |c_m|^2 still
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DerivativeUnavailableError,
     InsufficientModesError,
     InvalidConfigError,
     InvalidModeError,
@@ -90,8 +92,8 @@ __all__ = [
     "mode_sequence",
 ]
 
-# Coefficient magnitudes below this are treated as numerical zeros when
-# fitting the decay slope.
+# Coefficient magnitudes below this multiple of the coefficients' L2 norm
+# are treated as numerical zeros when fitting the decay slope.
 NOISE_FLOOR = 1e-14
 # A power sum is considered settled when the second half of the modes adds
 # less than this fraction of the total.
@@ -101,6 +103,8 @@ PLATEAU_FRACTION = 0.05
 INCONCLUSIVE_BAND = 0.25
 # Boundary defect tolerance, understood relative to the L2 scale of f.
 BOUNDARY_TOL = 1e-8
+# Rounding of an endpoint value per unit of |x| * |slope|: a few ulps.
+ENDPOINT_ROUNDING = 4 * np.finfo(float).eps
 
 
 def _check_ladder_index(n: int) -> int:
@@ -199,10 +203,10 @@ class MembershipReport:
 
     boundary_defects holds (order, defect) pairs when a pointwise handle was
     available.  decay_slope is the fitted slope of log |c_m|^2 against
-    log lambda_m over the upper half of the modes (NaN when the tail is
-    numerically zero), and critical_r estimates the supremum of exponents r
-    with a convergent power sum (infinity for finitely supported
-    coefficients).  verdict_per_n is antitone: membership at n implies
+    log lambda_m over the upper half of the resolved modes (NaN when fewer
+    than two of them are above the noise floor), and critical_r estimates
+    the supremum of exponents r with a convergent power sum (infinity for
+    finitely supported coefficients).  verdict_per_n is antitone: membership at n implies
     membership at every smaller index.
     """
 
@@ -236,6 +240,13 @@ def membership_classify(cf, n_max: int, f=None,
     with two coefficient heuristics: the plateau of partial power sums, and
     the position of n relative to the estimated critical exponent.  Indices
     within INCONCLUSIVE_BAND of the critical exponent are not judged.
+
+    The decay slope is fitted over the resolved modes only: a mode counts as
+    zero when |c_m| is at most NOISE_FLOOR times the coefficients' L2 norm,
+    and the fit takes the upper half of modes 1..M, M the last mode above
+    that floor.  So a fast-decaying profile whose tail falls below the floor
+    long before mode N is still fitted, and the estimate does not depend on
+    the scale of the coefficients.
     """
     n_max = _check_ladder_index(n_max)
     N = cf.size
@@ -253,8 +264,9 @@ def membership_classify(cf, n_max: int, f=None,
 
     lam, c2 = cf.eigenvalues, cf.power
 
-    upper = np.arange(N) + 1 > N // 2
-    keep = upper & (np.sqrt(c2) > NOISE_FLOOR)
+    above = np.sqrt(c2) > NOISE_FLOOR * math.sqrt(cf.power_sum())
+    resolved = np.flatnonzero(above)[-1] + 1 if above.any() else 0
+    keep = above & (np.arange(N) + 1 > resolved // 2)
     if np.count_nonzero(keep) < 2:
         slope = math.nan
         critical_r = math.inf
@@ -323,11 +335,9 @@ def operator_matrix(n: int, N: int, cfg: SpectralConfig,
     scaled = [scaled_basis(mode, n, cfg) for mode in modes]
     shifted = [apply_ell(z) for z in scaled]
     if force_quadrature:
-        entries = _ladder_matrix([_on_grid(f, cfg, spec) for f in shifted],
-                                 [_on_grid(g, cfg, spec) for g in scaled], n, cfg, spec)
-    else:
-        entries = [[leftdef_inner(f, g, n, cfg, spec) for g in scaled] for f in shifted]
-    return np.array([[value.real for value in row] for row in entries], dtype=float)
+        return _ladder_matrix([_on_grid(f, cfg, spec) for f in shifted],
+                              [_on_grid(g, cfg, spec) for g in scaled], n, cfg, spec).real
+    return np.array([[leftdef_inner(f, g, n, cfg, spec).real for g in scaled] for f in shifted])
 
 
 @dataclass(frozen=True)
@@ -345,15 +355,35 @@ def _boundary_defects(f, count: int, cfg: SpectralConfig,
                       spec: QuadratureSpec) -> tuple[tuple[tuple[int, float], ...], int]:
     """Boundary defects (j, |f^(j)(a) + f^(j)(b)|) for j < count, and j0.
 
-    j0 is the first order whose defect is not within BOUNDARY_TOL times the
-    L2 norm of f under spec, or count when every order is.  By the domain
-    theorem the anti-periodic conditions of the n-th ladder space hold
-    exactly when j0 >= n.
+    j0 is the first order whose defect exceeds its threshold, or count when
+    none does.  The threshold of order j is BOUNDARY_TOL times the L2 norm
+    of f under spec, plus, when f supplies order j + 1, the rounding of the
+    endpoint values: 4 eps max(|a|, |b|) (|f^(j+1)(a)| + |f^(j+1)(b)|).  Far
+    from the origin that rounding, about one ulp of |a| times the slope, can
+    exceed BOUNDARY_TOL * ||f||_2, which shrinks with the length.  By the
+    domain theorem the anti-periodic conditions of the n-th ladder space
+    hold exactly when j0 >= n.
     """
     limit = BOUNDARY_TOL * max(math.sqrt(max(l2_inner(f, f, cfg, spec).real, 0.0)), 1e-300)
     defects = tuple((j, boundary_antisymmetry_defect(f, cfg, j)) for j in range(count))
-    j0 = next((j for j, d in defects if not d <= limit), count)
+    # the rounding is evaluated only for a defect above the first term
+    j0 = next((j for j, d in defects
+               if not (d <= limit or d <= limit + _endpoint_rounding(f, cfg, j + 1))), count)
     return defects, j0
+
+
+def _endpoint_rounding(f, cfg: SpectralConfig, order: int) -> float:
+    """4 eps max(|a|, |b|) (|f^(order)(a)| + |f^(order)(b)|), or 0 when f lacks the order.
+
+    A non-finite slope, as at a square-root endpoint, bounds nothing and adds 0.
+    """
+    try:
+        fj = derivative_evaluator(f, order)
+    except DerivativeUnavailableError:
+        return 0.0
+    reach = ENDPOINT_ROUNDING * max(abs(cfg.a), abs(cfg.b))
+    term = reach * (abs(complex(fj(cfg.a))) + abs(complex(fj(cfg.b))))
+    return term if math.isfinite(term) else 0.0
 
 
 def _derivative_norm_sq(f, order: int, cfg: SpectralConfig, spec: QuadratureSpec) -> float:

@@ -19,12 +19,12 @@ made by the same ``_basis_wave`` and ``_derivative_wave`` that
 ``basis_eval(cfg, mode, nodes, j)``.
 
 ``_ladder_matrix`` is the one place that forms the ladder sum
-sum_j C(n, j) k**(n-j) * integral f^(j) conj(g^(j)) on the nodes; n = 0 is
-the L2 inner product.  Every quadrature-route inner product goes through it
-and reads trig polynomials from the table: ``l2_inner``, ``leftdef_inner``,
-``operator_matrix``, the Gram matrices of the orthonormality suite, and
-``expansion_error`` on a handle, whose residual is the handle's grid values
-minus the partial sum's table values.  Endpoint and other pointwise
+sum_j C(n, j) k**(n-j) * integral f^(j) conj(g^(j)) on the nodes, one array
+over all pairs; n = 0 is the L2 inner product.  Every quadrature-route inner
+product goes through it and reads trig polynomials from the table: the Gram
+matrices of the orthonormality suite, ``l2_inner``, ``leftdef_inner``,
+``operator_matrix``, direct ladder coefficients and ``expansion_error`` on a
+handle, whose residual is its grid values minus the partial sum's.  Pointwise
 evaluation never reads the table, and neither does ``classical_coeffs``.
 """
 
@@ -205,9 +205,9 @@ def integrate(g: Callable, cfg: SpectralConfig, spec: QuadratureSpec = DEFAULT_Q
 
 def _require_finite(values: np.ndarray, nodes: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
-        bad = nodes[~np.isfinite(values)]
+        bad = np.broadcast_to(nodes, values.shape)[~np.isfinite(values)]
         raise NonFiniteIntegrandError(
-            f"integrand not finite at node x={float(np.ravel(bad)[0])!r}"
+            f"integrand not finite at node x={float(bad[0])!r}"
         )
 
 
@@ -255,26 +255,28 @@ def _inner(f, g, n: int, cfg: SpectralConfig, spec: QuadratureSpec, force_quadra
                     coeff = eigenvalue(cfg, mode.m) ** n * coeff
                 total += coeff * other.conjugate()
         return total
-    return _ladder_matrix([_on_grid(f, cfg, spec)], [_on_grid(g, cfg, spec)], n, cfg, spec)[0][0]
+    return complex(_ladder_matrix([_on_grid(f, cfg, spec)], [_on_grid(g, cfg, spec)], n, cfg, spec)[0, 0])
 
 
 def _ladder_matrix(fs: list, gs: list, n: int, cfg: SpectralConfig,
-                   spec: QuadratureSpec) -> list[list[complex]]:
-    """(f_p, g_q)_n by quadrature for every pair, one derivative order at a time.
+                   spec: QuadratureSpec) -> np.ndarray:
+    """(f_p, g_q)_n by quadrature for every pair, as a complex len(fs) x len(gs) array.
 
     fs and gs hold functions of j giving the j-th derivative on the rule's
     nodes (``_on_grid``, or a residual of two of them).  Entry (p, q) is
     sum_j C(n, j) k**(n-j) * integral f_p^(j) conj(g_q^(j)), accumulated in
-    ascending j; n = 0 is the L2 inner product.  Each side's values are
-    taken once per order, not per pair, and only one order's values are
-    held at once, so the working set stays a few dozen node vectors.
+    ascending j; n = 0 is the L2 inner product.  Per order, each f row meets
+    the stacked conj(g) values in one row-wise sum, bit-equal to a
+    ``_weighted_sum`` per entry while the g side is all real or all complex
+    (callers pass a real basis or one function; a mixed side sums as complex).
     """
-    total = [[0j] * len(gs) for _ in fs]
+    nodes, weights = composite_rule(cfg, spec)
+    total = np.zeros((len(fs), len(gs)), dtype=complex)
     for j in range(n + 1):
         weight = math.comb(n, j) * cfg.k ** (n - j)
-        g_conj = [np.conjugate(g(j)) for g in gs]
+        g_conj = np.conjugate([g(j) for g in gs])
         for row, f in zip(total, fs):
-            f_values = f(j)
-            for q, g_values in enumerate(g_conj):
-                row[q] += weight * complex(_weighted_sum(f_values * g_values, cfg, spec))
+            products = f(j) * g_conj
+            _require_finite(products, nodes)
+            row += weight * np.sum(weights * products, axis=1)
     return total

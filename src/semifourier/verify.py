@@ -189,7 +189,7 @@ def suite_orthonormality(cfg, spec, params):
     for n in (0, *range(1, min(params["n_max"], 4) + 1)):
         basis = [scaled_basis(md, n, cfg) if n else basis_polynomial(cfg, md) for md in modes]
         grid = [_on_grid(z, cfg, spec) for z in basis]
-        gram = np.array(_ladder_matrix(grid, grid, n, cfg, spec))
+        gram = _ladder_matrix(grid, grid, n, cfg, spec)
         worst = float(np.max(np.abs(gram - np.eye(len(basis)))))
         check = f"ladder-gram-quadrature-n{n}" if n else "l2-gram-quadrature"
         rows.append(_row("orthonormality", check, worst, 1e-8))

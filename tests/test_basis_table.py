@@ -6,6 +6,7 @@ built from ``basis_eval`` values and ``integrate``.
 """
 
 import math
+import re
 import tracemalloc
 from collections import OrderedDict
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from semifourier import (
     Branch,
     Mode,
+    NonFiniteIntegrandError,
     QuadratureSpec,
     SpectralConfig,
     TrigPolynomial,
@@ -98,6 +100,84 @@ def test_quadrature_inner_products_equal_basis_eval_reference(data, cfg, spec, n
         want += math.comb(n, j) * cfg.k ** (n - j) * reference_integral(j)
     assert leftdef_inner(p, q, n, cfg, spec, force_quadrature=True) == want
     assert l2_inner(p, q, cfg, spec, force_quadrature=True) == reference_integral(0)
+
+
+@st.composite
+def complex_trig_polynomials(draw, cfg):
+    """Trig polynomials with a nonzero imaginary part, so their values are complex."""
+    terms = draw(st.dictionaries(
+        st.builds(Mode, st.integers(1, 64), st.sampled_from(Branch)),
+        st.builds(complex, st.floats(-10.0, 10.0), st.floats(0.5, 10.0)), min_size=1, max_size=8,
+    ))
+    return TrigPolynomial(cfg, terms)
+
+
+def _pairwise_ladder(f_grids, g_grids, n, cfg, spec):
+    """Each entry on its own: C(n, j) k**(n-j) times ``integrate`` of f^(j) conj(g^(j)), from 0j."""
+    want = [[0j] * len(g_grids) for _ in f_grids]
+    for j in range(n + 1):
+        weight = math.comb(n, j) * cfg.k ** (n - j)
+        for row, f in zip(want, f_grids):
+            for q, g in enumerate(g_grids):
+                products = f(j) * np.conjugate(g(j))
+                row[q] += weight * complex(integrate(lambda x: products, cfg, spec))
+    return want
+
+
+def _poisoned(grid, order, index):
+    """grid with NaN at node ``index`` of derivative ``order``."""
+    def values(j):
+        out = np.array(grid(j))
+        if j == order:
+            out[index] = np.nan
+        return out
+
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cfg=far_configs, spec=rules, n=st.integers(0, 3),
+       complex_side=st.booleans())
+def test_ladder_matrix_rows_equal_the_pairwise_sums(data, cfg, spec, n, complex_side):
+    rows = data.draw(st.lists(st.one_of(
+        complex_trig_polynomials(cfg),
+        st.sampled_from(["sawtooth", "offset-cosine"]).map(lambda name: catalog.resolve(name).handle(cfg)),
+    ), min_size=1, max_size=4))
+    if complex_side:
+        cols = data.draw(st.lists(complex_trig_polynomials(cfg), min_size=1, max_size=6))
+    else:
+        modes = mode_sequence(data.draw(st.integers(1, 4)))
+        cols = [scaled_basis(mode, n, cfg) if n else basis_polynomial(cfg, mode) for mode in modes]
+    f_grids = [quadrature._on_grid(f, cfg, spec) for f in rows]
+    g_grids = [quadrature._on_grid(g, cfg, spec) for g in cols]
+    got = quadrature._ladder_matrix(f_grids, g_grids, n, cfg, spec)
+    assert isinstance(got, np.ndarray) and got.shape == (len(rows), len(cols))
+    want = _pairwise_ladder(f_grids, g_grids, n, cfg, spec)
+    assert got.tobytes() == np.array(want, dtype=complex).tobytes()
+
+    nodes, _ = composite_rule(cfg, spec)
+    order = data.draw(st.integers(0, n))
+    index = data.draw(st.integers(0, nodes.size - 1))
+    if data.draw(st.booleans()):
+        p = data.draw(st.integers(0, len(rows) - 1))
+        f_grids[p] = _poisoned(f_grids[p], order, index)
+    else:
+        q = data.draw(st.integers(0, len(cols) - 1))
+        g_grids[q] = _poisoned(g_grids[q], order, index)
+    with pytest.raises(NonFiniteIntegrandError) as reference:
+        _pairwise_ladder(f_grids, g_grids, n, cfg, spec)
+    with pytest.raises(NonFiniteIntegrandError, match=re.escape(str(reference.value))):
+        quadrature._ladder_matrix(f_grids, g_grids, n, cfg, spec)
+
+
+def test_forced_operator_matrix_makes_no_per_entry_sums(monkeypatch):
+    calls = []
+    weighted_sum = quadrature._weighted_sum
+    monkeypatch.setattr(quadrature, "_weighted_sum", lambda *a: calls.append(a) or weighted_sum(*a))
+    cfg = SpectralConfig(-0.5, 1.75, 1.5)
+    matrix = operator_matrix(2, 6, cfg, force_quadrature=True)
+    assert matrix.shape == (12, 12) and matrix.dtype == float
+    assert calls == []
 
 
 def test_rows_are_reused_read_only_and_bounded():

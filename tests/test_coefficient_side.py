@@ -73,7 +73,11 @@ def _membership_reference(cf, n_max, f=None, spec=DEFAULT_QUADRATURE):
     N = cf.size
     j0 = _boundary_defects(f, n_max, cf.config, spec)[1] if f is not None else n_max
     lam, c2 = eigenvalues(cf.config, N), _power(cf)
-    keep = (np.arange(N) + 1 > N // 2) & (np.sqrt(c2) > NOISE_FLOOR)
+    # fit the upper half of modes 1..M, M the last mode above the floor
+    # relative to the L2 norm of the coefficients
+    above = np.sqrt(c2) > NOISE_FLOOR * math.sqrt(float(np.sum(c2)))
+    M = int(np.max(np.nonzero(above)[0], initial=-1)) + 1
+    keep = (np.arange(N) + 1 > M // 2) & above
     if np.count_nonzero(keep) < 2:
         slope, critical_r = math.nan, math.inf
     else:
@@ -183,6 +187,42 @@ def test_rescale_bit_identical(vectors):
             got = _rescale(cv, n)
             assert _bits(got.cos_coeffs) == _bits(factor * cv.cos_coeffs)
             assert _bits(got.sin_coeffs) == _bits(factor * cv.sin_coeffs)
+
+
+# ------------------------------------------------------- the fitted exponent
+
+def _tail_share(lam, r, p):
+    """Share of sum_m lambda_m**(r-p) that the upper half of the modes adds."""
+    terms = lam ** (r - p)
+    return float(np.sum(terms[terms.size // 2:]) / np.sum(terms))
+
+
+@pytest.mark.parametrize("length", [math.pi, 0.1, 0.01])
+@pytest.mark.parametrize("N", SIZES[1:] + [20000])
+@pytest.mark.parametrize("p", [2.5, 3.5, 5.0])
+def test_synthetic_critical_exponent_is_p_minus_half(p, N, length):
+    # |c_m| = lambda_m**(-p/2) falls below 1e-14 long before mode N on short
+    # intervals and at large N; the fit must still find p - 1/2.
+    cfg = SpectralConfig(0.0, length, 1.0)
+    report = membership_classify(catalog.coeff_vector(f"synthetic:{p}", N, cfg), 4)
+    # independent oracle, as in criterion 9: the partial sums of
+    # lambda_m**(r-p) settle just below p - 1/2 and keep growing just above
+    lam = eigenvalues(cfg, N)
+    assert _tail_share(lam, p - 0.75, p) < PLATEAU_FRACTION < _tail_share(lam, p - 0.25, p)
+    assert abs(report.critical_r - (p - 0.5)) <= 0.1
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_critical_exponent_ignores_the_scale_of_the_coefficients(cfg, N):
+    cv = catalog.coeff_vector("sawtooth", N, cfg)
+    reports = [membership_classify(CoeffVector(cfg, s * cv.cos_coeffs, s * cv.sin_coeffs), 3)
+               for s in (1e-12, 1.0, 1e12)]
+    for rep in reports:
+        assert abs(rep.critical_r - 1.5) <= 0.1
+        assert rep.critical_r == pytest.approx(reports[1].critical_r, rel=1e-12)
+        assert rep.verdict_per_n == reports[1].verdict_per_n
+    single = membership_classify(catalog.coeff_vector("mode:5:sin", N, cfg), 3)
+    assert math.isinf(single.critical_r)
 
 
 # ------------------------------------------------------------------ ownership

@@ -4,8 +4,9 @@ f lies in the n-th ladder space exactly when f^(j)(a) + f^(j)(b) = 0 for
 every j < n and f^(n) is square integrable.  ``ladder._boundary_defects``
 returns the defects and j0, the first order that fails, and every domain
 verdict reads j0.  These tests check that trig polynomials have exactly zero
-defects, that the verdicts equal the per-function checks they replaced, and
-how much work one verdict costs.
+defects, that the verdicts equal the per-function checks they replaced, that
+far from the origin the rounding of the endpoint values decides no verdict,
+and how much work one verdict costs.
 """
 
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from semifourier import (
     Branch,
+    DerivativeUnavailableError,
     DomainVerdict,
     FunctionHandle,
     Mode,
@@ -70,12 +72,29 @@ def _old_norm_sq(f, order, cfg, spec):
     return _weighted_sum(top * np.conjugate(top), cfg, spec)
 
 
+def _threshold(f, j, cfg, scale):
+    """BOUNDARY_TOL * scale, plus the rounding of the endpoint values of f^(j).
+
+    That rounding is about 4 eps max(|a|, |b|) (|f^(j+1)(a)| + |f^(j+1)(b)|)
+    when f supplies order j + 1; without it, sawtooth far from the origin
+    would count as not anti-periodic (see the far-interval tests below).
+    """
+    limit = BOUNDARY_TOL * scale
+    try:
+        slope = derivative_evaluator(f, j + 1)
+    except DerivativeUnavailableError:
+        return limit
+    term = 4 * np.finfo(float).eps * max(abs(cfg.a), abs(cfg.b)) * (
+        abs(complex(slope(cfg.a))) + abs(complex(slope(cfg.b))))
+    return limit + term if math.isfinite(term) else limit
+
+
 def _old_in_v_space(f, n, cfg, spec):
     """in_v_space as written before the shared helper: stop at the first bad order."""
     derivative_evaluator(f, n)
     scale = max(math.sqrt(max(l2_inner(f, f, cfg, spec).real, 0.0)), 1e-300)
     for j in range(n):
-        if boundary_antisymmetry_defect(f, cfg, j) > BOUNDARY_TOL * scale:
+        if boundary_antisymmetry_defect(f, cfg, j) > _threshold(f, j, cfg, scale):
             return False
     try:
         _old_norm_sq(f, n, cfg, spec)
@@ -95,7 +114,7 @@ def _old_domain_indicator(f, n, cfg, spec):
     except SemiFourierError:
         top_norm_sq = math.inf
         finite = False
-    ok = [d <= BOUNDARY_TOL * scale for _, d in defects]
+    ok = [d <= _threshold(f, j, cfg, scale) for j, d in defects]
     return DomainVerdict(
         ladder_index=n,
         boundary_defects=defects,
@@ -122,6 +141,33 @@ def test_verdicts_equal_the_per_function_checks(data, cfg, spec):
         assert in_v_space(f, n, cfg, spec) == _old_in_v_space(f, n, cfg, spec), n
     for n in range(3):
         assert domain_indicator(f, n, cfg, spec) == _old_domain_indicator(f, n, cfg, spec), n
+
+
+# Offsets of 1e3 to 1e6 against lengths of 1e-3 to 1e-1: an endpoint value
+# there carries rounding of about one ulp of |a| times the slope.
+far_intervals = st.builds(
+    lambda a, length: SpectralConfig(a, a + length, 1.0),
+    st.one_of(st.floats(1e3, 1e6), st.floats(-1e6, -1e3)),
+    st.floats(1e-3, 1e-1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=far_intervals, spec=rules)
+def test_sawtooth_is_anti_periodic_far_from_the_origin(cfg, spec):
+    # x - (a+b)/2 takes opposite values at a and b up to rounding
+    saw = catalog.resolve("sawtooth").handle(cfg)
+    assert _boundary_defects(saw, 3, cfg, spec)[1] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=far_intervals, spec=rules)
+def test_offset_line_fails_at_order_zero_far_from_the_origin(cfg, spec):
+    # x - a has defect b - a, far above the rounding of the endpoint values
+    a = cfg.a
+    line = FunctionHandle((lambda x: x - a, np.ones_like, np.zeros_like))
+    assert _boundary_defects(line, 2, cfg, spec)[1] == 0
+    assert not in_v_space(line, 1, cfg, spec)
 
 
 @pytest.mark.parametrize("name", ["sawtooth", "offset-cosine"])

@@ -14,7 +14,9 @@ its own inner-product call; the residual taken on the quadrature grid and
 the one ladder sum per Gram must reproduce them.  The direct-route entries
 off the default interval were recorded from the implementation that made
 one inner-product call per mode; the one ladder-sum row over all scaled
-basis functions must reproduce them.
+basis functions must reproduce them.  The last four were recorded from the
+implementation that summed each ladder-sum entry on its own; the row-wise
+reduction of the one matrix must reproduce them.
 
 A change that alters a report on purpose updates the digest in the same
 change and says which rows changed and why; a digest is never refreshed to
@@ -109,6 +111,19 @@ DIGESTS = [
     ("verify --suite parseval --suite bessel --suite error-tail --suite ladder-fixtures"
      " --N 10 --a 3.3 --b 5.9 --k 0.3",
      "c0b7b1b674ef29d3287910ea017c6f3bde4c3ba81241b15087ee79a05de8a335"),
+    # the ladder sum as one matrix: Gram and operator matrices at n = 4 far
+    # from the origin and in CSV, direct coefficients and the handle residual
+    ("verify --suite orthonormality --suite operator-matrix --suite fundamental-relation"
+     " --suite rescale --suite lower-bound --N 10 --n 4 --a 1000.25 --b 1002.75 --k 0.3",
+     "e74bc65f3fc6d28fa792e7533af362ecb28b1e458d96d8649ad07d6ce5ecc228"),
+    ("verify --suite orthonormality --suite operator-matrix --N 12 --n 4 --a -2.5 --b 0.75"
+     " --k 2.2 --format csv",
+     "b03c1259708b53cec009b2a559e7c3a094eb30373fed593b6833d8c1f96ad196"),
+    ("coeffs --function offset-cosine --N 24 --n 4 --method direct --a 1000.25 --b 1002.75"
+     " --k 0.3 --format csv",
+     "e0a71e4f8c1ab76dc7f43c5c59e0cfddcd6a4576484914cdf48ecb39d5bd43a5"),
+    ("converge --function offset-cosine --N 48 --n 3 --a 1000.25 --b 1002.75 --k 0.3",
+     "830238b5171203e98dad142ee1472c00467470659d0e1b56665b5782307f1725"),
 ]
 
 
