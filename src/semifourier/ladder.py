@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DerivativeUnavailableError,
     InsufficientModesError,
     InvalidConfigError,
     InvalidModeError,
@@ -95,6 +94,9 @@ __all__ = [
 # Coefficient magnitudes below this multiple of the coefficients' L2 norm
 # are treated as numerical zeros when fitting the decay slope.
 NOISE_FLOOR = 1e-14
+# Coefficients whose last mode above the noise floor stands more than this
+# factor above it stop abruptly: they are finitely supported, not decaying.
+FLOOR_REACH = 10.0
 # A power sum is considered settled when the second half of the modes adds
 # less than this fraction of the total.
 PLATEAU_FRACTION = 0.05
@@ -203,11 +205,12 @@ class MembershipReport:
 
     boundary_defects holds (order, defect) pairs when a pointwise handle was
     available.  decay_slope is the fitted slope of log |c_m|^2 against
-    log lambda_m over the upper half of the resolved modes (NaN when fewer
-    than two of them are above the noise floor), and critical_r estimates
-    the supremum of exponents r with a convergent power sum (infinity for
-    finitely supported coefficients).  verdict_per_n is antitone: membership at n implies
-    membership at every smaller index.
+    log lambda_m over the upper half of the resolved modes (NaN when the
+    coefficients are finitely supported or fewer than two of those modes
+    are above the noise floor), and critical_r estimates the supremum of
+    exponents r with a convergent power sum (infinity in the same cases).
+    verdict_per_n is antitone: membership at n implies membership at every
+    smaller index.
     """
 
     boundary_defects: tuple[tuple[int, float], ...]
@@ -246,7 +249,11 @@ def membership_classify(cf, n_max: int, f=None,
     and the fit takes the upper half of modes 1..M, M the last mode above
     that floor.  So a fast-decaying profile whose tail falls below the floor
     long before mode N is still fitted, and the estimate does not depend on
-    the scale of the coefficients.
+    the scale of the coefficients.  A profile decays into the floor, so when
+    M < N and |c_M| exceeds FLOOR_REACH times the floor, the coefficients
+    stop abruptly instead: they are finitely supported (a trig polynomial,
+    with an exactly zero tail or rounding noise below the floor), no slope
+    is fitted and critical_r is infinite.
     """
     n_max = _check_ladder_index(n_max)
     N = cf.size
@@ -264,10 +271,13 @@ def membership_classify(cf, n_max: int, f=None,
 
     lam, c2 = cf.eigenvalues, cf.power
 
-    above = np.sqrt(c2) > NOISE_FLOOR * math.sqrt(cf.power_sum())
+    magnitude = np.sqrt(c2)
+    floor = NOISE_FLOOR * math.sqrt(cf.power_sum())
+    above = magnitude > floor
     resolved = np.flatnonzero(above)[-1] + 1 if above.any() else 0
+    stops = 0 < resolved < N and magnitude[resolved - 1] > FLOOR_REACH * floor
     keep = above & (np.arange(N) + 1 > resolved // 2)
-    if np.count_nonzero(keep) < 2:
+    if stops or np.count_nonzero(keep) < 2:
         slope = math.nan
         critical_r = math.inf
     else:
@@ -360,13 +370,14 @@ def _boundary_defects(f, count: int, cfg: SpectralConfig,
     of f under spec, plus, when f supplies order j + 1, the rounding of the
     endpoint values: 4 eps max(|a|, |b|) (|f^(j+1)(a)| + |f^(j+1)(b)|).  Far
     from the origin that rounding, about one ulp of |a| times the slope, can
-    exceed BOUNDARY_TOL * ||f||_2, which shrinks with the length.  By the
+    exceed BOUNDARY_TOL * ||f||_2, which shrinks with the length.  The
+    rounding is read only for a defect above that first term, so only then
+    is f^(j+1) evaluated at the endpoints beside its own defect.  By the
     domain theorem the anti-periodic conditions of the n-th ladder space
     hold exactly when j0 >= n.
     """
     limit = BOUNDARY_TOL * max(math.sqrt(max(l2_inner(f, f, cfg, spec).real, 0.0)), 1e-300)
     defects = tuple((j, boundary_antisymmetry_defect(f, cfg, j)) for j in range(count))
-    # the rounding is evaluated only for a defect above the first term
     j0 = next((j for j, d in defects
                if not (d <= limit or d <= limit + _endpoint_rounding(f, cfg, j + 1))), count)
     return defects, j0
@@ -375,14 +386,16 @@ def _boundary_defects(f, count: int, cfg: SpectralConfig,
 def _endpoint_rounding(f, cfg: SpectralConfig, order: int) -> float:
     """4 eps max(|a|, |b|) (|f^(order)(a)| + |f^(order)(b)|), or 0 when f lacks the order.
 
-    A non-finite slope, as at a square-root endpoint, bounds nothing and adds 0.
+    The slope only bounds the rounding and never decides a verdict, so a slope
+    that cannot be evaluated at an endpoint (a missing order, a division by
+    zero or a domain error at a square-root endpoint) or is not finite adds 0.
     """
     try:
         fj = derivative_evaluator(f, order)
-    except DerivativeUnavailableError:
+        slope = abs(complex(fj(cfg.a))) + abs(complex(fj(cfg.b)))
+    except (ArithmeticError, ValueError):
         return 0.0
-    reach = ENDPOINT_ROUNDING * max(abs(cfg.a), abs(cfg.b))
-    term = reach * (abs(complex(fj(cfg.a))) + abs(complex(fj(cfg.b))))
+    term = ENDPOINT_ROUNDING * max(abs(cfg.a), abs(cfg.b)) * slope
     return term if math.isfinite(term) else 0.0
 
 

@@ -20,9 +20,12 @@ import pytest
 
 from semifourier import (
     DEFAULT_QUADRATURE,
+    Branch,
     CoeffVector,
+    Mode,
     SemiFourierError,
     SpectralConfig,
+    TrigPolynomial,
     Verdict,
     catalog,
     leftdef_coeffs,
@@ -35,6 +38,7 @@ from semifourier import (
 from semifourier.cli import main
 from semifourier.expansion import _rescale, classical_coeffs
 from semifourier.ladder import (
+    FLOOR_REACH,
     INCONCLUSIVE_BAND,
     NOISE_FLOOR,
     PLATEAU_FRACTION,
@@ -74,11 +78,14 @@ def _membership_reference(cf, n_max, f=None, spec=DEFAULT_QUADRATURE):
     j0 = _boundary_defects(f, n_max, cf.config, spec)[1] if f is not None else n_max
     lam, c2 = eigenvalues(cf.config, N), _power(cf)
     # fit the upper half of modes 1..M, M the last mode above the floor
-    # relative to the L2 norm of the coefficients
-    above = np.sqrt(c2) > NOISE_FLOOR * math.sqrt(float(np.sum(c2)))
+    # relative to the L2 norm of the coefficients, unless c_M stands more
+    # than FLOOR_REACH above that floor with modes after it
+    floor = NOISE_FLOOR * math.sqrt(float(np.sum(c2)))
+    above = np.sqrt(c2) > floor
     M = int(np.max(np.nonzero(above)[0], initial=-1)) + 1
+    finite_support = M < N and M > 0 and math.sqrt(c2[M - 1]) > FLOOR_REACH * floor
     keep = (np.arange(N) + 1 > M // 2) & above
-    if np.count_nonzero(keep) < 2:
+    if finite_support or np.count_nonzero(keep) < 2:
         slope, critical_r = math.nan, math.inf
     else:
         slope = float(np.polyfit(np.log(lam[keep]), np.log(c2[keep]), 1)[0])
@@ -223,6 +230,20 @@ def test_critical_exponent_ignores_the_scale_of_the_coefficients(cfg, N):
         assert rep.verdict_per_n == reports[1].verdict_per_n
     single = membership_classify(catalog.coeff_vector("mode:5:sin", N, cfg), 3)
     assert math.isinf(single.critical_r)
+
+
+@pytest.mark.parametrize("N", SIZES)
+@pytest.mark.parametrize("modes", [(3, 5), (3, 20, 25), (40, 50, 60)])
+@pytest.mark.parametrize("abk", CONFIGS)
+def test_finitely_supported_coefficients_are_members_of_every_space(abk, modes, N):
+    # a trig polynomial lies in every ladder space; its coefficients stop at
+    # its last mode, far above the noise floor, and nothing is fitted
+    cfg = SpectralConfig(*abk)
+    terms = {Mode(m, Branch.SIN): 1.0 for m in modes} | {Mode(2, Branch.COS): 0.5j}
+    cv = classical_coeffs(TrigPolynomial(cfg, terms), N, cfg)
+    report = membership_classify(cv, 4)
+    assert math.isinf(report.critical_r) and math.isnan(report.decay_slope)
+    assert report.verdict_per_n == {n: Verdict.MEMBER for n in range(1, 5)}
 
 
 # ------------------------------------------------------------------ ownership

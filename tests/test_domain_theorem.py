@@ -170,6 +170,17 @@ def test_offset_line_fails_at_order_zero_far_from_the_origin(cfg, spec):
     assert not in_v_space(line, 1, cfg, spec)
 
 
+def test_slope_that_cannot_be_evaluated_at_an_endpoint_adds_no_rounding(cfg, spec):
+    # sqrt(x - a) fails at order 0; its slope divides by zero at x = a, and
+    # order 1 is read only to bound the rounding of the order-0 values
+    a = cfg.a
+    root = FunctionHandle((lambda x: math.sqrt(x - a), lambda x: 0.5 / math.sqrt(x - a)))
+    assert _boundary_defects(root, 1, cfg, spec)[1] == 0
+    assert not in_v_space(root, 1, cfg, spec)
+    cv = catalog.coeff_vector("mode:5:sin", 64, cfg, spec)
+    assert membership_classify(cv, 1, root, spec).verdict_per_n == {1: Verdict.NON_MEMBER}
+
+
 @pytest.mark.parametrize("name", ["sawtooth", "offset-cosine"])
 def test_first_failing_order_is_the_known_ladder_index(name, cfg, spec):
     entry = catalog.resolve(name)
