@@ -30,6 +30,7 @@ from .ladder import (
     Verdict,
     domain_indicator,
     fundamental_relation_defect,
+    fundamental_relation_defects,
     in_v_space,
     leftdef_inner,
     leftdef_norm,
@@ -92,6 +93,7 @@ __all__ = [
     "leftdef_norm",
     "scaled_basis",
     "fundamental_relation_defect",
+    "fundamental_relation_defects",
     "lower_bound_margin",
     "spectral_inner_r",
     "membership_classify",

@@ -82,6 +82,7 @@ __all__ = [
     "leftdef_norm",
     "scaled_basis",
     "fundamental_relation_defect",
+    "fundamental_relation_defects",
     "lower_bound_margin",
     "spectral_inner_r",
     "membership_classify",
@@ -147,19 +148,32 @@ def scaled_basis(mode: Mode, n: int, cfg: SpectralConfig) -> TrigPolynomial:
     return TrigPolynomial(cfg, {mode: factor})
 
 
-def fundamental_relation_defect(mode: Mode, f, n: int, cfg: SpectralConfig,
-                                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """|(z_mode, f)_n - lambda_m**n * (z_mode, f)_L2|.
+def fundamental_relation_defects(modes, f, n: int, cfg: SpectralConfig,
+                                 spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
+    """|(z_mode, f)_n - lambda_m**n * (z_mode, f)_L2| for every mode, as an array.
 
     Both inner products are evaluated through the quadrature route even for
     trig polynomial arguments, so the defect genuinely measures the identity
     rather than an algebraic tautology.  f must supply derivatives up to n.
+    Each side is one ``_ladder_matrix`` column over all modes, and its rows
+    are independent, so entry i equals the one-mode defect of modes[i] bit
+    for bit.
     """
     n = _check_ladder_index(n)
-    z = basis_polynomial(cfg, mode)
-    lhs = leftdef_inner(z, f, n, cfg, spec, force_quadrature=True)
-    rhs = eigenvalue(cfg, mode.m) ** n * l2_inner(z, f, cfg, spec, force_quadrature=True)
-    return abs(lhs - rhs)
+    z = [_on_grid(basis_polynomial(cfg, mode), cfg, spec) for mode in modes]
+    g = [_on_grid(f, cfg, spec)]
+    lhs = _ladder_matrix(z, g, n, cfg, spec)[:, 0].tolist()
+    rhs = _ladder_matrix(z, g, 0, cfg, spec)[:, 0].tolist()
+    # Python's complex abs, which differs from numpy's in the last bit
+    return np.array([abs(complex(left) - eigenvalue(cfg, mode.m) ** n * complex(right))
+                     for mode, left, right in zip(modes, lhs, rhs)], dtype=float)
+
+
+def fundamental_relation_defect(mode: Mode, f, n: int, cfg: SpectralConfig,
+                                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+    """|(z_mode, f)_n - lambda_m**n * (z_mode, f)_L2|, the one-mode case of
+    ``fundamental_relation_defects``."""
+    return float(fundamental_relation_defects([mode], f, n, cfg, spec)[0])
 
 
 def lower_bound_margin(f, n: int, cfg: SpectralConfig,

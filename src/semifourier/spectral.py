@@ -32,10 +32,12 @@ point at every derivative order; boundary defect checks rely on this.
 
 Basis values at any points come from ``_basis_wave`` (the waves
 cos(omega_m x) and sin(omega_m x) of one mode) and ``_derivative_wave`` (the
-derivative cycle and normalization applied to them).  ``basis_eval``
-evaluates through these two at arbitrary points; endpoint and boundary-defect
-evaluation always goes through it.  The quadrature layer keeps the waves of
-each mode it meets on a rule's nodes as rows of a basis table (see
+derivative cycle and normalization applied to them).  ``basis_eval`` and
+``TrigPolynomial.evaluate`` evaluate through these two at arbitrary points;
+``evaluate`` checks the derivative order and the domain once per call, not
+once per term, and ``boundary_antisymmetry_defect`` evaluates a trig
+polynomial at both endpoints in one call.  The quadrature layer keeps the
+waves of each mode it meets on a rule's nodes as rows of a basis table (see
 :mod:`semifourier.quadrature`) and applies the same ``_derivative_wave``, so
 its columns are bit-identical to ``basis_eval`` on those nodes.
 """
@@ -119,6 +121,10 @@ class Branch(enum.Enum):
 
     COS = "cos"
     SIN = "sin"
+
+    # members are singletons compared by identity; Enum.__hash__ is a Python
+    # call, and every Mode hash goes through it
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -340,10 +346,17 @@ class TrigPolynomial:
         return all(c.imag == 0.0 for c in self._terms.values())
 
     def evaluate(self, x, deriv_order: int = 0):
-        """Pointwise value of the deriv_order-th derivative."""
+        """Pointwise value of the deriv_order-th derivative.
+
+        Each term's column is ``basis_eval`` at the same points, taken from
+        the same waves without repeating its order and domain checks.
+        """
+        deriv_order = _check_integer(deriv_order, 0, DerivativeUnavailableError, "derivative order")
+        cfg = self.config
         xs = np.asarray(x, dtype=float)
-        _check_domain(self.config, xs)
-        acc = self._combine(xs.shape, lambda mode: basis_eval(self.config, mode, xs, deriv_order))
+        _check_domain(cfg, xs)
+        acc = self._combine(xs.shape, lambda mode: _derivative_wave(
+            cfg, mode.branch, *_basis_wave(cfg, mode.m, xs), deriv_order))
         if np.ndim(x) == 0:
             return acc[()] if acc.ndim == 0 else acc
         return acc
@@ -367,20 +380,24 @@ class TrigPolynomial:
         return self.evaluate(x)
 
     def derivative(self, order: int = 1) -> "TrigPolynomial":
-        """Exact derivative; the basis maps cos -> sin and back with omega factors."""
+        """Exact derivative; the basis maps cos -> sin and back with omega factors.
+
+        Each term takes its order quarter-turns on its own, c -> 0j + (-omega c)
+        from cos and c -> 0j + omega c from sin, as repeated first derivatives
+        would; a term that reaches zero is dropped at the end.
+        """
         order = _check_integer(order, 0, DerivativeUnavailableError, "derivative order")
-        poly = self
-        for _ in range(order):
-            terms: dict[Mode, complex] = {}
-            for mode, coeff in poly._terms.items():
-                omega = angular_frequency(self.config, mode.m)
-                if mode.branch is Branch.COS:
-                    new_mode, new_coeff = Mode(mode.m, Branch.SIN), -omega * coeff
+        terms: dict[Mode, complex] = {}
+        for mode, coeff in self._terms.items():
+            omega = angular_frequency(self.config, mode.m)
+            branch = mode.branch
+            for _ in range(order):
+                if branch is Branch.COS:
+                    branch, coeff = Branch.SIN, 0j + -omega * coeff
                 else:
-                    new_mode, new_coeff = Mode(mode.m, Branch.COS), omega * coeff
-                terms[new_mode] = terms.get(new_mode, 0j) + new_coeff
-            poly = TrigPolynomial(self.config, terms)
-        return poly
+                    branch, coeff = Branch.COS, 0j + omega * coeff
+            terms[Mode(mode.m, branch)] = coeff
+        return TrigPolynomial(self.config, terms)
 
     def _binary(self, other: "TrigPolynomial", sign: float) -> "TrigPolynomial":
         if not isinstance(other, TrigPolynomial):
@@ -486,9 +503,17 @@ def derivative_evaluator(f, order: int) -> Callable:
 
 
 def boundary_antisymmetry_defect(f, cfg: SpectralConfig, order: int = 0) -> float:
-    """|f^(j)(a) + f^(j)(b)|, zero exactly when the j-th derivative is anti-periodic."""
+    """|f^(j)(a) + f^(j)(b)|, zero exactly when the j-th derivative is anti-periodic.
+
+    A trig polynomial is evaluated at both endpoints in one call; any other
+    function is called at each endpoint as a scalar, which it must accept.
+    """
     fj = derivative_evaluator(f, order)
-    return abs(complex(fj(cfg.a)) + complex(fj(cfg.b)))
+    if isinstance(f, TrigPolynomial):
+        fa, fb = fj(np.array([cfg.a, cfg.b])).tolist()
+    else:
+        fa, fb = fj(cfg.a), fj(cfg.b)
+    return abs(complex(fa) + complex(fb))
 
 
 def apply_ell(p: TrigPolynomial) -> TrigPolynomial:

@@ -2,11 +2,15 @@
 
 The table must reproduce ``basis_eval`` on the rule's nodes bit for bit, and
 the quadrature route of the inner products must equal, exactly, the sum
-built from ``basis_eval`` values and ``integrate``.
+built from ``basis_eval`` values and ``integrate``.  The batched checks of
+``verify`` (trig polynomial evaluation without per-term checks, derivatives
+taken in one pass, the fundamental relation over many modes at once) must
+equal their one-at-a-time references bit for bit.
 """
 
 import math
 import re
+import struct
 import tracemalloc
 from collections import OrderedDict
 
@@ -24,8 +28,11 @@ from semifourier import (
     TrigPolynomial,
     basis_eval,
     basis_polynomial,
+    boundary_antisymmetry_defect,
     domain_indicator,
+    eigenvalue,
     fundamental_relation_defect,
+    fundamental_relation_defects,
     in_v_space,
     integrate,
     l2_inner,
@@ -35,7 +42,9 @@ from semifourier import (
     operator_matrix,
     scaled_basis,
 )
-from semifourier import catalog, classical_coeffs, expansion_error, partial_sum, quadrature, spectral
+from semifourier import (
+    catalog, classical_coeffs, expansion_error, ladder, partial_sum, quadrature, spectral, verify,
+)
 from semifourier.quadrature import composite_rule
 from semifourier.spectral import _derivative_wave, apply_ell
 
@@ -275,3 +284,77 @@ def test_handle_residual_on_grid_equals_pointwise_residual(data, cfg, spec, name
         got = expansion_error(f, cv, M, n, spec)
     assert calls == []
     assert got == _pointwise_residual_error(f, cv, M, n, spec)
+
+
+def _per_mode_defect(mode, f, n, cfg, spec):
+    """The fundamental-relation defect as one-mode inner products computed it."""
+    z = basis_polynomial(cfg, mode)
+    lhs = leftdef_inner(z, f, n, cfg, spec, force_quadrature=True)
+    rhs = eigenvalue(cfg, mode.m) ** n * l2_inner(z, f, cfg, spec, force_quadrature=True)
+    return abs(lhs - rhs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cfg=far_configs, spec=rules, n=st.integers(1, 3))
+def test_fundamental_relation_defects_equal_the_per_mode_reference(data, cfg, spec, n):
+    f = data.draw(st.one_of(
+        complex_trig_polynomials(cfg),
+        trig_polynomials(cfg),
+        st.sampled_from(["sawtooth", "offset-cosine"]).map(lambda name: catalog.resolve(name).handle(cfg)),
+    ))
+    modes = data.draw(st.lists(st.builds(Mode, st.integers(1, 64), st.sampled_from(Branch)),
+                               min_size=1, max_size=8))
+    want = [_per_mode_defect(mode, f, n, cfg, spec) for mode in modes]
+    got = fundamental_relation_defects(modes, f, n, cfg, spec)
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+    assert fundamental_relation_defect(modes[0], f, n, cfg, spec) == want[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cfg=far_configs, j=st.integers(0, 6))
+def test_evaluate_equals_the_per_term_basis_eval_sum(data, cfg, j):
+    p = data.draw(st.one_of(trig_polynomials(cfg), complex_trig_polynomials(cfg)))
+    inside = st.floats(cfg.a, cfg.b)
+    points = [cfg.a, cfg.b, data.draw(inside), np.array([cfg.a, cfg.b]),
+              np.array(data.draw(st.lists(inside, min_size=1, max_size=5)))]
+    for x in points:
+        got = p.evaluate(x, j)
+        want = _reference_values(p, j, np.asarray(x))
+        assert np.ndim(got) == np.ndim(x)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x
+    ends = _reference_values(p, j, np.asarray(cfg.a)), _reference_values(p, j, np.asarray(cfg.b))
+    assert boundary_antisymmetry_defect(p, cfg, j) == abs(complex(ends[0]) + complex(ends[1]))
+
+
+def _coefficient_bytes(p):
+    return [(mode, struct.pack("<2d", c.real, c.imag)) for mode, c in p.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cfg=far_configs, k=st.integers(0, 8))
+def test_derivative_equals_iterated_first_derivatives(data, cfg, k):
+    p = data.draw(st.one_of(trig_polynomials(cfg), complex_trig_polynomials(cfg)))
+    want = p
+    for _ in range(k):
+        want = want.derivative(1)
+    assert _coefficient_bytes(p.derivative(k)) == _coefficient_bytes(want)
+
+
+def test_fundamental_relation_suite_makes_one_ladder_matrix_per_side(monkeypatch):
+    calls = []
+    ladder_matrix = ladder._ladder_matrix
+    monkeypatch.setattr(ladder, "_ladder_matrix", lambda *a: calls.append(a) or ladder_matrix(*a))
+    params = verify.default_params()
+    assert params["modes"] == 8
+    rows = verify.suite_fundamental_relation(SpectralConfig(7.5, 10.3, 0.5), QuadratureSpec(), params)
+    assert all(row["passed"] for row in rows)
+    assert len(calls) <= 8  # one (f, n) pair per sawtooth and fixture order, two sides each
+
+
+def test_basis_boundary_suite_makes_no_basis_eval_calls(monkeypatch):
+    calls = []
+    basis_eval_ = spectral.basis_eval
+    monkeypatch.setattr(spectral, "basis_eval", lambda *a, **kw: calls.append(a) or basis_eval_(*a, **kw))
+    rows = verify.suite_basis_boundary(SpectralConfig(-2.5, 0.75, 2.2), QuadratureSpec(), verify.default_params())
+    assert all(row["passed"] for row in rows)
+    assert calls == []

@@ -16,7 +16,12 @@ off the default interval were recorded from the implementation that made
 one inner-product call per mode; the one ladder-sum row over all scaled
 basis functions must reproduce them.  The last four were recorded from the
 implementation that summed each ladder-sum entry on its own; the row-wise
-reduction of the one matrix must reproduce them.
+reduction of the one matrix must reproduce them.  The ``verify --N 6`` and
+``--N 10`` entries were recorded from the implementation that checked the
+fundamental relation one mode at a time and evaluated trig polynomials
+through ``basis_eval`` term by term; the batched checks must reproduce them.
+The last two pin verify far from the origin and on a short interval, where
+the quadrature probe and the exact-route tolerance are scaled.
 
 A change that alters a report on purpose updates the digest in the same
 change and says which rows changed and why; a digest is never refreshed to
@@ -124,6 +129,24 @@ DIGESTS = [
      "e0a71e4f8c1ab76dc7f43c5c59e0cfddcd6a4576484914cdf48ecb39d5bd43a5"),
     ("converge --function offset-cosine --N 48 --n 3 --a 1000.25 --b 1002.75 --k 0.3",
      "830238b5171203e98dad142ee1472c00467470659d0e1b56665b5782307f1725"),
+    # the other selfcheck sizes, on the three verify configurations
+    ("verify --N 6",
+     "ad5ea442a1c0da359aab16cc53554444ec126854228d5be54ed16848b082771f"),
+    ("verify --N 6 --a 7.5 --b 10.3 --k 0.5",
+     "fd9a107a8db4472470375d7dd6f8f9125fd86484cbe51cd05b40838e062d9170"),
+    ("verify --N 6 --a -2.5 --b 0.75 --k 2.2",
+     "912baca84c4bff81d8bf7bfd32eb4a10fad473173e47dfaf44e5d380bb9e6c1b"),
+    ("verify --N 10",
+     "4a4f213640b8f4bcbe88e50c41c470037b49b804f2f24031a39510e8972df219"),
+    ("verify --N 10 --a 7.5 --b 10.3 --k 0.5",
+     "8557258d9e8b52b712b96a34bb0a87ca67986f89d53fdd74a48759379298d0aa"),
+    ("verify --N 10 --a -2.5 --b 0.75 --k 2.2",
+     "eed26a1c752436b3b98ae0ea6f1ff0a22db77ffe85be32e066d1fc5c887478d7"),
+    # every suite with b above 700, and with lambda_8 near 9e3
+    ("verify --a 1000.25 --b 1002.75 --k 0.3",
+     "6a208bfc6075b6ae9eba27322f1ee329e5303cc74e9ef9dac3c5fbd79c1b2f65"),
+    ("verify --a 0 --b 0.5",
+     "9e11f9f1c03a1bae759fecdabb2a93be63779aadb45e73f3775177881b0a8ca2"),
 ]
 
 
