@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True, help="catalog name, e.g. sawtooth or mode:3:sin")
     p.add_argument("--N", "--modes", dest="trunc", type=int, default=8, help="truncation order")
     p.add_argument("--n", type=int, default=None, help="ladder index for rescaled coefficients")
-    p.add_argument("--method", choices=("rescale", "direct"), default="rescale",
-                   help="route for ladder coefficients")
+    p.add_argument("--method", choices=("rescale", "direct"), default=None,
+                   help="route for ladder coefficients (needs --n; default rescale)")
 
     p = sub.add_parser("norms", parents=[common], help="norms by quadrature and by series")
     p.add_argument("--function", required=True)
@@ -116,9 +116,11 @@ def _cmd_coeffs(args) -> int:
     spec = _quad_spec(args)
     entry = catalog.resolve(args.function)
     if args.n is None:
+        if args.method is not None:
+            raise SemiFourierError("--method chooses the route for ladder coefficients; it needs --n")
         cv = catalog.coeff_vector(entry, args.trunc, cfg, spec)
         params = {"function": args.function, "N": args.trunc}
-    elif args.method == "rescale":
+    elif args.method in (None, "rescale"):
         cv = _rescale(catalog.coeff_vector(entry, args.trunc, cfg, spec), args.n)
         params = {"function": args.function, "N": args.trunc, "n": args.n, "method": "rescale"}
     else:

@@ -97,7 +97,7 @@ def test_available_functions_lists_all_forms():
 
 def _sawtooth_reference(cfg, m):
     omega = angular_frequency(cfg, m)
-    scale = -2.0 * math.sqrt(2.0 / cfg.length) / omega**2
+    scale = -2.0 * math.sqrt(2.0 / cfg.length) / (omega * omega)
     return complex(scale * math.cos(omega * cfg.a)), complex(scale * math.sin(omega * cfg.a))
 
 

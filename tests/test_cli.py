@@ -46,6 +46,21 @@ def test_coeffs_ladder_rescale(capsys):
     assert doc["rows"][0]["a"]["re"] == pytest.approx(2.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("method", ["direct", "rescale"])
+def test_coeffs_method_without_n_exit_code(method, capsys):
+    # the route applies to ladder coefficients only; without --n it would be ignored
+    assert main(["coeffs", "--function", "sawtooth", "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--method" in captured.err and "--n" in captured.err
+
+
+def test_coeffs_method_defaults_to_rescale_with_n(capsys):
+    code, doc = run_json(capsys, "coeffs", "--function", "mode:1:cos", "--N", "1", "--n", "2")
+    assert code == 0
+    assert doc["params"]["method"] == "rescale"
+
+
 def test_norms_two_routes(capsys):
     code, doc = run_json(capsys, "norms", "--function", "sawtooth",
                          "--N", "400", "--n", "1")

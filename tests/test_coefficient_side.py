@@ -288,7 +288,7 @@ def test_readme_example_squares_frequencies_at_most_twice(monkeypatch):
     # one pass for the sawtooth closed form, one for the vector's eigenvalues
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
-    calls = _count_calls(monkeypatch, "_scalar_powers")
+    calls = _count_calls(monkeypatch, "angular_frequencies")
     with contextlib.redirect_stdout(io.StringIO()):
         exec(example, {})
     assert 1 <= len(calls) <= 2

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semifourier import (
+    Branch,
     CoeffVector,
     InsufficientModesError,
     InvalidConfigError,
@@ -11,14 +14,17 @@ from semifourier import (
     Mode,
     SemiFourierError,
     SpectralConfig,
+    TrigPolynomial,
     TruncationMismatchError,
     Verdict,
+    apply_ell_power,
     basis_polynomial,
     classical_coeffs,
     domain_indicator,
     eigenvalue,
     fundamental_relation_defect,
     in_v_space,
+    l2_inner,
     leftdef_inner,
     leftdef_norm,
     lower_bound_margin,
@@ -75,6 +81,61 @@ def test_ladder_index_validation(cfg, spec):
         leftdef_inner(z1, z1, 0, cfg, spec)
     with pytest.raises(InvalidModeError):
         scaled_basis(Mode.cos(1), 0, cfg)
+
+
+# Offsets far larger than the interval: |a| of 1e2 to 1e5 against lengths up to 10.
+far_configs = st.builds(
+    lambda a, length, k: SpectralConfig(a, a + length, k),
+    st.one_of(st.floats(1e2, 1e5), st.floats(-1e5, -1e2)),
+    st.floats(1e-2, 10.0),
+    st.floats(1e-2, 1e2),
+)
+coefficients = st.builds(complex, st.floats(-10.0, 10.0), st.one_of(st.just(0.0), st.floats(-10.0, 10.0)))
+
+
+@st.composite
+def trig_polynomials(draw, cfg):
+    terms = draw(st.dictionaries(
+        st.builds(Mode, st.integers(1, 64), st.sampled_from(Branch)), coefficients, max_size=8,
+    ))
+    return TrigPolynomial(cfg, terms)
+
+
+def _underflow_slack(cfg, mode, n) -> float:
+    """Rounding that no relative bound covers: gradual underflow.
+
+    An operation whose result is subnormal may be off by half the smallest
+    subnormal, and later factors of up to lambda_m**n amplify that.  Either
+    route makes at most (n + 1)(2n + 2) <= 36 roundings per coefficient, so
+    64 of them bound it.  The term outweighs the relative bounds below only
+    for values under about 1e-308, near or in the subnormal range.
+    """
+    return 64 * eigenvalue(cfg, mode.m) ** n * 5e-324
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cfg=far_configs, n=st.integers(1, 5))
+def test_binomial_power_equals_iterated_power(data, cfg, n):
+    p = data.draw(trig_polynomials(cfg))
+    via_binomial = apply_ell_power(p, n, method="binomial")
+    via_iterate = apply_ell_power(p, n, method="iterate")
+    for mode in set(via_binomial.modes()) | set(via_iterate.modes()):
+        lhs, rhs = via_binomial.coefficient(mode), via_iterate.coefficient(mode)
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs)) + _underflow_slack(cfg, mode, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cfg=far_configs, n=st.integers(1, 5))
+def test_ladder_inner_equals_l2_inner_of_the_power(data, cfg, n):
+    # (p, q)_n = (ell^n p, q): the relation that makes ell^n the Gram operator
+    p, q = data.draw(trig_polynomials(cfg)), data.draw(trig_polynomials(cfg))
+    lhs = leftdef_inner(p, q, n, cfg)
+    rhs = l2_inner(apply_ell_power(p, n), q, cfg)
+    # terms may cancel, so the bound scales with the sum of their magnitudes
+    bound = sum(1e-13 * eigenvalue(cfg, mode.m) ** n * abs(c * q.coefficient(mode))
+                + _underflow_slack(cfg, mode, n) * (1.0 + abs(q.coefficient(mode)))
+                for mode, c in p.items())
+    assert abs(lhs - rhs) <= bound
 
 
 # ------------------------------------------------------------- scaled basis

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,6 +119,29 @@ def test_array_eigenvalues_equal_scalar_at_1e5_modes(a, b, k):
     N = 100_000
     scalar = [eigenvalue(cfg, m) for m in range(1, N + 1)]
     assert np.array_equal(_bits(eigenvalues(cfg, N)), _bits(scalar))
+
+
+def _correctly_rounded_eigenvalues(cfg, omega) -> list[float]:
+    # Fraction squares exactly, and float() of a Fraction rounds to nearest
+    return [float(Fraction(w) ** 2) + cfg.k for w in omega.tolist()]
+
+
+@pytest.mark.parametrize("a,b,k", [(0.0, math.pi, 1.0), (7.5, 10.3, 0.5), (-2.5, 0.75, 2.2)])
+def test_eigenvalues_square_correctly_rounded_at_1e5_modes(a, b, k):
+    # Python's w ** 2 (libm pow) is 1 ulp off on 182 of these 3e5 modes
+    # (18, 91 and 73 per config on glibc); one multiply is correctly rounded
+    cfg = SpectralConfig(a, b, k)
+    omega = angular_frequencies(cfg, 100_000)
+    assert np.array_equal(_bits(eigenvalues(cfg, 100_000)),
+                          _bits(_correctly_rounded_eigenvalues(cfg, omega)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs, N=st.integers(1, 3000))
+def test_eigenvalues_square_correctly_rounded(cfg, N):
+    want = _bits(_correctly_rounded_eigenvalues(cfg, angular_frequencies(cfg, N)))
+    assert np.array_equal(_bits(eigenvalues(cfg, N)), want)
+    assert np.array_equal(_bits([eigenvalue(cfg, m) for m in range(1, N + 1)]), want)
 
 
 @pytest.mark.parametrize("N", [0, -3, 2.0, True])
