@@ -46,8 +46,8 @@ from .spectral import (
     Mode,
     SpectralConfig,
     TrigPolynomial,
+    _basis_block,
     _check_integer,
-    basis_eval,
     derivative_evaluator,
     eigenvalues,
 )
@@ -60,6 +60,9 @@ __all__ = [
     "expansion_error",
     "parseval_defect",
 ]
+
+# Modes per wave block in ``classical_coeffs``; one block of all N takes MiBs.
+_BLOCK_MODES = 16
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,8 @@ def classical_coeffs(f, N: int, cfg: SpectralConfig,
     """Classical coefficients a_m = (f, z_{m,cos}), b_m = (f, z_{m,sin}) for m <= N.
 
     Trig polynomial input reproduces its own coefficients exactly; anything
-    else is integrated against the basis on the shared quadrature grid.
+    else is integrated against the basis on the shared quadrature grid, each
+    row of a block of ``basis_eval`` waves summed pairwise as one vector is.
     """
     N = _check_truncation(N)
     if isinstance(f, TrigPolynomial):
@@ -147,11 +151,14 @@ def classical_coeffs(f, N: int, cfg: SpectralConfig,
     values = _on_grid(f, cfg, spec)(0)
     _require_finite(values, nodes)
     wf = weights * values
+    scale = math.sqrt(2.0 / (cfg.b - cfg.a))
     a = np.empty(N, dtype=complex)
     b = np.empty(N, dtype=complex)
-    for m in range(1, N + 1):
-        a[m - 1] = np.sum(wf * basis_eval(cfg, Mode(m, Branch.COS), nodes))
-        b[m - 1] = np.sum(wf * basis_eval(cfg, Mode(m, Branch.SIN), nodes))
+    for start in range(0, N, _BLOCK_MODES):
+        block = slice(start, min(start + _BLOCK_MODES, N))
+        _, cos_psi, sin_psi = _basis_block(cfg, range(block.start + 1, block.stop + 1), nodes)
+        a[block] = np.sum(wf * (scale * cos_psi), axis=1)
+        b[block] = np.sum(wf * (scale * sin_psi), axis=1)
     return CoeffVector(cfg, a, b)
 
 

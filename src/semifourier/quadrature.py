@@ -14,7 +14,7 @@ follows the modes actually asked for, not the highest index.  The table
 holds at most ``_BASIS_CACHE_VALUES`` node values per wave over all rules
 and drops the least recently used rows first.  A derivative column is a
 quarter-turn sign and branch swap of a row times sqrt(2/(b-a)) * omega_m**j,
-made by the same ``_basis_wave`` and ``_derivative_wave`` that
+made by the same one-mode ``_basis_block`` and ``_derivative_wave`` that
 ``basis_eval`` uses, so it is bit-identical to
 ``basis_eval(cfg, mode, nodes, j)``.
 
@@ -47,7 +47,7 @@ from .errors import (
 from .spectral import (
     SpectralConfig,
     TrigPolynomial,
-    _basis_wave,
+    _basis_block,
     _check_integer,
     _derivative_wave,
     derivative_evaluator,
@@ -96,7 +96,7 @@ def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # a verify run uses about 15; every fresh interval adds one
 def _composite_rule(a: float, b: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _reference_rule(order)
     h = (b - a) / panels
@@ -133,7 +133,7 @@ def _basis_row(cfg: SpectralConfig, spec: QuadratureSpec, m: int) -> tuple[float
             _basis_rows.move_to_end(key)
             return row
     nodes, _ = composite_rule(cfg, spec)
-    row = _basis_wave(cfg, m, nodes)
+    row = next(zip(*_basis_block(cfg, [m], nodes)))
     row[1].flags.writeable = False
     row[2].flags.writeable = False
     with _basis_rows_lock:

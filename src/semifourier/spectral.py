@@ -30,16 +30,16 @@ cos -> -sin -> -cos -> sin, never by numerical differentiation.  Evaluation
 is arranged so that the anti-symmetry z(a) = -z(b) holds exactly in floating
 point at every derivative order; boundary defect checks rely on this.
 
-Basis values at any points come from ``_basis_wave`` (the waves
-cos(omega_m x) and sin(omega_m x) of one mode) and ``_derivative_wave`` (the
-derivative cycle and normalization applied to them).  ``basis_eval`` and
-``TrigPolynomial.evaluate`` evaluate through these two at arbitrary points;
-``evaluate`` checks the derivative order and the domain once per call, not
-once per term, and ``boundary_antisymmetry_defect`` evaluates a trig
-polynomial at both endpoints in one call.  The quadrature layer keeps the
-waves of each mode it meets on a rule's nodes as rows of a basis table (see
-:mod:`semifourier.quadrature`) and applies the same ``_derivative_wave``, so
-its columns are bit-identical to ``basis_eval`` on those nodes.
+Basis values at any points come from ``_basis_block`` (the waves
+cos(omega_m x) and sin(omega_m x), one row per mode of a set, each row the
+same bits whatever other modes share the block) and ``_derivative_wave``
+(the derivative cycle and normalization applied to a row).  ``basis_eval``
+takes a one-mode block; ``TrigPolynomial.evaluate`` takes one block over its
+distinct modes and checks the order and the domain once per call.  The
+quadrature layer keeps one-mode rows on a rule's nodes in a basis table, and
+``classical_coeffs`` on a handle walks its modes in blocks (see
+:mod:`semifourier.quadrature`); both are bit-identical to ``basis_eval`` on
+the nodes.  ``boundary_antisymmetry_defect`` evaluates both endpoints at once.
 """
 
 from __future__ import annotations
@@ -238,31 +238,31 @@ def basis_eval(cfg: SpectralConfig, mode: Mode, x, deriv_order: int = 0):
 
     xs = np.asarray(x, dtype=float)
     _check_domain(cfg, xs)
-    omega, cos_psi, sin_psi = _basis_wave(cfg, mode.m, xs)
+    omega, cos_psi, sin_psi = next(zip(*_basis_block(cfg, [mode.m], xs)))
     out = _derivative_wave(cfg, mode.branch, omega, cos_psi, sin_psi, deriv_order)
     if np.ndim(x) == 0:
         return float(out)
     return out
 
 
-def _basis_wave(cfg: SpectralConfig, m: int, xs: np.ndarray):
-    """omega_m and the waves cos(omega_m x), sin(omega_m x) at the points xs.
+def _basis_block(cfg: SpectralConfig, ms, xs: np.ndarray):
+    """omega_m and the waves cos(omega_m x), sin(omega_m x) for each m in ms.
 
-    (2m-1) * (x-a)/(b-a) is reduced exactly modulo 2 and the result rotated
-    by the phase omega_m * a, so the waves at x = a and x = b are exact
-    negatives of each other.
+    A list of omegas and two arrays with one row of shape xs.shape per mode.
+    (2m-1) * (x-a)/(b-a) is reduced exactly modulo 2 and rotated by the phase
+    omega_m * a, elementwise, so z(a) = -z(b) exactly and no row reads another.
     """
-    big_m = 2 * m - 1
-    u = (xs - cfg.a) / (cfg.b - cfg.a)  # u = 1.0 exactly at x = b
-    base_cos = _cospi(big_m * u)
-    base_sin = _sinpi(big_m * u)
+    u = (np.ravel(xs) - cfg.a) / (cfg.b - cfg.a)  # u = 1.0 exactly at x = b
+    t = np.array([2 * m - 1 for m in ms], dtype=float)[:, None] * u
+    base_cos, base_sin = _cospi(t), _sinpi(t)
 
-    omega = angular_frequency(cfg, m)
-    phase = omega * cfg.a
-    pc, ps = math.cos(phase), math.sin(phase)
-    cos_psi = base_cos * pc - base_sin * ps  # cos(omega * x)
-    sin_psi = base_sin * pc + base_cos * ps  # sin(omega * x)
-    return omega, cos_psi, sin_psi
+    omegas = [angular_frequency(cfg, m) for m in ms]
+    pc = np.array([math.cos(omega * cfg.a) for omega in omegas])[:, None]
+    ps = np.array([math.sin(omega * cfg.a) for omega in omegas])[:, None]
+    shape = (len(omegas),) + np.shape(xs)
+    cos_psi = (base_cos * pc - base_sin * ps).reshape(shape)  # cos(omega * x)
+    sin_psi = (base_sin * pc + base_cos * ps).reshape(shape)  # sin(omega * x)
+    return omegas, cos_psi, sin_psi
 
 
 def _derivative_wave(cfg: SpectralConfig, branch: Branch, omega: float,
@@ -335,15 +335,17 @@ class TrigPolynomial:
     def evaluate(self, x, deriv_order: int = 0):
         """Pointwise value of the deriv_order-th derivative.
 
-        Each term's column is ``basis_eval`` at the same points, taken from
-        the same waves without repeating its order and domain checks.
+        Each term's column is ``basis_eval`` at the same points, read from one
+        block of waves over the distinct modes, without its per-term checks.
         """
         deriv_order = _check_integer(deriv_order, 0, DerivativeUnavailableError, "derivative order")
         cfg = self.config
         xs = np.asarray(x, dtype=float)
         _check_domain(cfg, xs)
+        ms = sorted({mode.m for mode in self._terms})
+        rows = dict(zip(ms, zip(*_basis_block(cfg, ms, xs))))
         acc = self._combine(xs.shape, lambda mode: _derivative_wave(
-            cfg, mode.branch, *_basis_wave(cfg, mode.m, xs), deriv_order))
+            cfg, mode.branch, *rows[mode.m], deriv_order))
         if np.ndim(x) == 0:
             return acc[()] if acc.ndim == 0 else acc
         return acc

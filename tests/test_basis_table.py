@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from semifourier import (
     Branch,
+    FunctionHandle,
     Mode,
     NonFiniteIntegrandError,
     QuadratureSpec,
@@ -43,7 +44,8 @@ from semifourier import (
     scaled_basis,
 )
 from semifourier import (
-    catalog, classical_coeffs, expansion_error, ladder, partial_sum, quadrature, spectral, verify,
+    catalog, classical_coeffs, expansion, expansion_error, ladder, partial_sum, quadrature, spectral,
+    verify,
 )
 from semifourier.quadrature import composite_rule
 from semifourier.spectral import _derivative_wave, apply_ell
@@ -203,10 +205,10 @@ def test_rows_are_reused_read_only_and_bounded():
 
 def test_direct_coefficients_compute_each_row_once(monkeypatch):
     calls = []
-    wave = quadrature._basis_wave
+    block = quadrature._basis_block
     monkeypatch.setattr(quadrature, "_basis_rows", OrderedDict())
     monkeypatch.setattr(quadrature, "_basis_rows_values", 0)
-    monkeypatch.setattr(quadrature, "_basis_wave", lambda cfg, m, xs: calls.append(m) or wave(cfg, m, xs))
+    monkeypatch.setattr(quadrature, "_basis_block", lambda cfg, ms, xs: calls.extend(ms) or block(cfg, ms, xs))
     cfg = SpectralConfig(-0.75, 0.5, 2.0)
     f = TrigPolynomial(cfg, {Mode(2, Branch.COS): 1.0, Mode(5, Branch.SIN): 0.5j})
     leftdef_coeffs(f, 12, 2, cfg, QuadratureSpec(panels=5, nodes_per_panel=7), method="direct")
@@ -358,3 +360,107 @@ def test_basis_boundary_suite_makes_no_basis_eval_calls(monkeypatch):
     rows = verify.suite_basis_boundary(SpectralConfig(-2.5, 0.75, 2.2), QuadratureSpec(), verify.default_params())
     assert all(row["passed"] for row in rows)
     assert calls == []
+
+
+def _bits(values) -> bytes:
+    """The IEEE bytes of real or complex values, so that -0.0 differs from 0.0."""
+    flat = np.asarray(values).ravel()
+    if np.iscomplexobj(flat):
+        flat = flat.view(float)
+    return struct.pack(f"<{flat.size}d", *flat.astype(float))
+
+
+def _one_mode_wave(cfg, m, xs):
+    """omega_m, cos(omega_m x), sin(omega_m x) as one mode was computed before blocks."""
+    big_m = 2 * m - 1
+    u = (xs - cfg.a) / (cfg.b - cfg.a)
+    base_cos = spectral._cospi(big_m * u)
+    base_sin = spectral._sinpi(big_m * u)
+    omega = spectral.angular_frequency(cfg, m)
+    phase = omega * cfg.a
+    pc, ps = math.cos(phase), math.sin(phase)
+    return omega, base_cos * pc - base_sin * ps, base_sin * pc + base_cos * ps
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cfg=far_configs,
+       ms=st.lists(st.one_of(st.integers(1, 64), st.integers(1, 10**6)), min_size=1, max_size=12))
+def test_block_rows_equal_the_one_mode_wave(data, cfg, ms):
+    inside = st.floats(cfg.a, cfg.b)
+    xs = np.array([cfg.a, cfg.b] + data.draw(st.lists(inside, max_size=6)))
+    omegas, cos_psi, sin_psi = spectral._basis_block(cfg, ms, xs)
+    assert cos_psi.shape == sin_psi.shape == (len(ms), xs.size)
+    for i, m in enumerate(ms):
+        omega, want_cos, want_sin = _one_mode_wave(cfg, m, xs)
+        assert struct.pack("<d", omegas[i]) == struct.pack("<d", omega)
+        assert _bits(cos_psi[i]) == _bits(want_cos) and _bits(sin_psi[i]) == _bits(want_sin), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cfg=far_configs,
+       ms=st.lists(st.integers(1, 10**6), min_size=1, max_size=12))
+def test_block_row_does_not_depend_on_its_neighbours(data, cfg, ms):
+    xs = np.array([cfg.a, cfg.b, data.draw(st.floats(cfg.a, cfg.b))])
+    neighbours = data.draw(st.permutations(ms + data.draw(st.lists(st.integers(1, 10**6), max_size=6))))
+    whole = spectral._basis_block(cfg, neighbours, xs)
+    for m in ms:
+        alone = spectral._basis_block(cfg, [m], xs)
+        i = neighbours.index(m)
+        assert alone[0] == [whole[0][i]]
+        assert _bits(alone[1][0]) == _bits(whole[1][i]) and _bits(alone[2][0]) == _bits(whole[2][i])
+
+
+def _per_mode_coeffs(f, N, cfg, spec):
+    """(f, z_mode) for m <= N as one checked ``basis_eval`` sum per mode and branch."""
+    nodes, weights = composite_rule(cfg, spec)
+    wf = weights * np.asarray(f(nodes))
+    return [[np.sum(wf * basis_eval(cfg, Mode(m, branch), nodes)) for m in range(1, N + 1)]
+            for branch in (Branch.COS, Branch.SIN)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=far_configs, spec=rules, N=st.sampled_from([1, 15, 16, 17, 33]), complex_valued=st.booleans())
+def test_classical_coeffs_equal_the_per_mode_basis_eval_sums(cfg, spec, N, complex_valued):
+    if complex_valued:
+        mid = (cfg.a + cfg.b) / 2
+        f = FunctionHandle((lambda x: np.exp(1j * (x - mid)) + 0.5 * (x - mid),))
+    else:
+        f = catalog.resolve("offset-cosine").handle(cfg)
+    cv = classical_coeffs(f, N, cfg, spec)
+    want_cos, want_sin = _per_mode_coeffs(f, N, cfg, spec)
+    assert _bits(cv.cos_coeffs) == _bits(np.array(want_cos, dtype=complex))
+    assert _bits(cv.sin_coeffs) == _bits(np.array(want_sin, dtype=complex))
+
+
+def test_zero_polynomial_and_scalar_points_keep_their_shapes():
+    cfg = SpectralConfig(-3.25, 0.5, 1.5)
+    grid = np.array([[cfg.a, -1.0, cfg.b], [0.0, cfg.a, 0.25]])
+    zero = TrigPolynomial.zero(cfg)
+    p = TrigPolynomial(cfg, {Mode(3, Branch.COS): 2.0, Mode(3, Branch.SIN): -1.0, Mode(40, Branch.SIN): 0.5})
+    for j in (0, 1, 4):
+        assert np.ndim(zero.evaluate(cfg.a, j)) == 0 and zero.evaluate(cfg.a, j) == 0.0
+        assert zero.evaluate(grid, j).shape == grid.shape and not np.any(zero.evaluate(grid, j))
+        assert np.ndim(p.evaluate(0.25, j)) == 0 and p.evaluate(grid, j).shape == grid.shape
+        assert isinstance(basis_eval(cfg, Mode(40, Branch.SIN), 0.25, j), float)
+        assert basis_eval(cfg, Mode(40, Branch.SIN), grid, j).shape == grid.shape
+    omegas, cos_psi, sin_psi = spectral._basis_block(cfg, [], grid)
+    assert omegas == [] and cos_psi.shape == sin_psi.shape == (0, 2, 3)
+
+
+def test_classical_coeffs_take_blocks_not_per_mode_basis_eval(monkeypatch):
+    calls = []
+    basis_eval_ = spectral.basis_eval
+    counting = lambda *a, **kw: calls.append(a) or basis_eval_(*a, **kw)  # noqa: E731
+    monkeypatch.setattr(spectral, "basis_eval", counting)
+    monkeypatch.setattr(expansion, "basis_eval", counting, raising=False)
+    cfg = SpectralConfig(7.5, 10.3, 0.5)
+    f = catalog.resolve("offset-cosine").handle(cfg)
+    classical_coeffs(f, 1, cfg)  # the rule cached before measuring
+    tracemalloc.start()
+    try:
+        cv = classical_coeffs(f, 512, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cv.size == 512 and calls == []
+    assert peak < 1.5 * 2**20  # one block of all 512 modes would take about 15 MiB

@@ -13,6 +13,7 @@ from semifourier import (
     integrate,
     l2_inner,
 )
+from semifourier import quadrature
 from semifourier.quadrature import composite_rule
 
 
@@ -34,6 +35,13 @@ def test_composite_rule_shape_and_weight_sum(any_cfg):
     assert weights.sum() == pytest.approx(any_cfg.length, rel=1e-14)
     assert np.all(nodes > any_cfg.a) and np.all(nodes < any_cfg.b)
     assert not nodes.flags.writeable
+
+
+def test_rule_cache_stays_bounded_over_fresh_intervals():
+    spec = QuadratureSpec(panels=2, nodes_per_panel=3)
+    for i in range(1000):
+        composite_rule(SpectralConfig(0.5 * i, 0.5 * i + 1.25, 1.0), spec)
+    assert quadrature._composite_rule.cache_info().currsize <= 32
 
 
 def test_frozen_elementary_integrals(cfg, spec):
