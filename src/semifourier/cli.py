@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import catalog
@@ -77,6 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", "--modes", dest="count", type=int, default=None,
                    help="number of modes for mode-indexed checks and series suites")
     p.add_argument("--n", dest="n_max", type=int, default=None, help="largest ladder index")
+    for sub_parser in sub.choices.values():  # -1e5, -7.8e-05: values, not flags (as in Python 3.13)
+        sub_parser._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -7,8 +7,10 @@ derivative integrals or by rescaling the classical ones.  Partial sums are
 always built from classical coefficients; expansion errors may be measured
 in any ladder norm the function supports.  For a function handle the
 residual f - s_M is taken on the quadrature grid, as the handle's values
-minus the partial sum's values from the basis table, and goes through the
-same ladder sum as every other quadrature-route inner product.
+minus the partial sum's values (basis table rows fetched once, then summed
+per order), and goes through the same ladder sum as every other
+quadrature-route inner product.  Classical coefficients of a handle walk the
+basis in blocks of at most ``spectral._BLOCK_MODES`` modes.
 
 A ``CoeffVector`` owns the coefficient side of the ladder: its eigenvalues
 lambda_1..lambda_N, its per-mode power |a_m|^2 + |b_m|^2 and the power sums
@@ -46,7 +48,7 @@ from .spectral import (
     Mode,
     SpectralConfig,
     TrigPolynomial,
-    _basis_block,
+    _basis_blocks,
     _check_integer,
     derivative_evaluator,
     eigenvalues,
@@ -60,10 +62,6 @@ __all__ = [
     "expansion_error",
     "parseval_defect",
 ]
-
-# Modes per wave block in ``classical_coeffs``; one block of all N takes MiBs.
-_BLOCK_MODES = 16
-
 
 @dataclass(frozen=True)
 class CoeffVector:
@@ -136,8 +134,10 @@ def classical_coeffs(f, N: int, cfg: SpectralConfig,
     """Classical coefficients a_m = (f, z_{m,cos}), b_m = (f, z_{m,sin}) for m <= N.
 
     Trig polynomial input reproduces its own coefficients exactly; anything
-    else is integrated against the basis on the shared quadrature grid, each
-    row of a block of ``basis_eval`` waves summed pairwise as one vector is.
+    else is integrated against the basis on the shared quadrature grid.  The
+    waves come from one walk of ``_basis_blocks`` over modes 1..N, so memory
+    stays bounded at any N, and each row is summed pairwise as one
+    ``basis_eval`` vector is.
     """
     N = _check_truncation(N)
     if isinstance(f, TrigPolynomial):
@@ -152,13 +152,9 @@ def classical_coeffs(f, N: int, cfg: SpectralConfig,
     _require_finite(values, nodes)
     wf = weights * values
     scale = math.sqrt(2.0 / (cfg.b - cfg.a))
-    a = np.empty(N, dtype=complex)
-    b = np.empty(N, dtype=complex)
-    for start in range(0, N, _BLOCK_MODES):
-        block = slice(start, min(start + _BLOCK_MODES, N))
-        _, cos_psi, sin_psi = _basis_block(cfg, range(block.start + 1, block.stop + 1), nodes)
-        a[block] = np.sum(wf * (scale * cos_psi), axis=1)
-        b[block] = np.sum(wf * (scale * sin_psi), axis=1)
+    sums = [(np.sum(wf * (scale * cos_psi), axis=1), np.sum(wf * (scale * sin_psi), axis=1))
+            for _, cos_psi, sin_psi in _basis_blocks(cfg, range(1, N + 1), nodes)]
+    a, b = (np.concatenate(branch) for branch in zip(*sums))
     return CoeffVector(cfg, a, b)
 
 

@@ -8,15 +8,18 @@ basis functions up to mode index around 40 together with smooth factors.
 
 Trig polynomials are evaluated on a rule's nodes from a basis table: rows
 holding cos(omega_m x) and sin(omega_m x) on the nodes, keyed by
-(a, b, panels, nodes_per_panel, m).  A row is computed the first time a
-polynomial with a term of mode index m is evaluated on that rule, so memory
-follows the modes actually asked for, not the highest index.  The table
-holds at most ``_BASIS_CACHE_VALUES`` node values per wave over all rules
-and drops the least recently used rows first.  A derivative column is a
-quarter-turn sign and branch swap of a row times sqrt(2/(b-a)) * omega_m**j,
-made by the same one-mode ``_basis_block`` and ``_derivative_wave`` that
-``basis_eval`` uses, so it is bit-identical to
-``basis_eval(cfg, mode, nodes, j)``.
+(a, b, panels, nodes_per_panel, m).  A row is computed by a one-mode
+``_basis_block`` the first time a polynomial with a term of mode index m is
+evaluated on that rule, so memory follows the modes actually asked for, not
+the highest index.  The table holds at most ``_BASIS_CACHE_VALUES`` node
+values per wave over all rules and drops the least recently used rows
+first.  ``_on_grid`` fetches the rows of a polynomial's distinct modes once
+and hands them, for every derivative order, to ``TrigPolynomial._combine``,
+the same summation loop ``TrigPolynomial.evaluate`` feeds from
+``_basis_blocks``; so the values are bit-identical to ``evaluate`` and to a
+sum of ``basis_eval(cfg, mode, nodes, j)`` columns.  The table stays, rather
+than a fresh block walk per call, because verify evaluates the same few
+modes on the same rule many times.
 
 ``_ladder_matrix`` is the one place that forms the ladder sum
 sum_j C(n, j) k**(n-j) * integral f^(j) conj(g^(j)) on the nodes, one array
@@ -49,7 +52,6 @@ from .spectral import (
     TrigPolynomial,
     _basis_block,
     _check_integer,
-    _derivative_wave,
     derivative_evaluator,
     eigenvalue,
 )
@@ -149,16 +151,14 @@ def _basis_row(cfg: SpectralConfig, spec: QuadratureSpec, m: int) -> tuple[float
 def _on_grid(f, cfg: SpectralConfig, spec: QuadratureSpec) -> Callable[[int], np.ndarray]:
     """j -> values of the j-th derivative of f on the rule's nodes.
 
-    A trig polynomial on this interval is summed from the basis table in the
-    order of ``TrigPolynomial.evaluate``; anything else is evaluated.
+    A trig polynomial on this interval fetches its table rows once and sums
+    them with ``TrigPolynomial._combine`` for each j; anything else is
+    evaluated.
     """
     nodes, _ = composite_rule(cfg, spec)
     if isinstance(f, TrigPolynomial) and (f.config.a, f.config.b) == (cfg.a, cfg.b):
-        def values(j: int) -> np.ndarray:
-            return f._combine(nodes.shape, lambda mode: _derivative_wave(
-                cfg, mode.branch, *_basis_row(cfg, spec, mode.m), j))
-
-        return values
+        rows = [_basis_row(cfg, spec, m) for m in f._mode_indices()]
+        return lambda j: f._combine(nodes.shape, rows, j)
     return lambda j: _values_on(derivative_evaluator(f, j), nodes)
 
 

@@ -34,12 +34,16 @@ Basis values at any points come from ``_basis_block`` (the waves
 cos(omega_m x) and sin(omega_m x), one row per mode of a set, each row the
 same bits whatever other modes share the block) and ``_derivative_wave``
 (the derivative cycle and normalization applied to a row).  ``basis_eval``
-takes a one-mode block; ``TrigPolynomial.evaluate`` takes one block over its
-distinct modes and checks the order and the domain once per call.  The
-quadrature layer keeps one-mode rows on a rule's nodes in a basis table, and
-``classical_coeffs`` on a handle walks its modes in blocks (see
-:mod:`semifourier.quadrature`); both are bit-identical to ``basis_eval`` on
-the nodes.  ``boundary_antisymmetry_defect`` evaluates both endpoints at once.
+takes a one-mode block.  Every consumer of many modes walks
+``_basis_blocks``, which yields blocks of at most ``_BLOCK_MODES`` modes, so
+its memory is bounded whatever the number of modes: ``TrigPolynomial.evaluate``
+(which checks the order and the domain once per call), ``classical_coeffs``
+on a handle and verify's basis-boundary suite.  ``TrigPolynomial._combine``
+is the one summation loop: it takes the rows of the distinct modes in
+ascending order, from that walk or from the quadrature layer's basis table
+(see :mod:`semifourier.quadrature`), so both are bit-identical to
+``basis_eval``.  ``boundary_antisymmetry_defect`` evaluates both endpoints at
+once.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -81,6 +86,10 @@ __all__ = [
 # Relative slack accepted when checking x in [a, b]; composite quadrature
 # nodes may overshoot an endpoint by a few ulps.
 _DOMAIN_SLACK = 1e-12
+
+# Modes per block of waves in ``_basis_blocks``; one block of hundreds of
+# modes at many points takes tens of MiBs.
+_BLOCK_MODES = 16
 
 
 def _check_integer(value, minimum: int, error: type[SemiFourierError], name: str) -> int:
@@ -265,6 +274,12 @@ def _basis_block(cfg: SpectralConfig, ms, xs: np.ndarray):
     return omegas, cos_psi, sin_psi
 
 
+def _basis_blocks(cfg: SpectralConfig, ms, xs: np.ndarray) -> Iterator[tuple]:
+    """``_basis_block`` over the sequence ms, at most ``_BLOCK_MODES`` modes at a time."""
+    for start in range(0, len(ms), _BLOCK_MODES):
+        yield _basis_block(cfg, ms[start:start + _BLOCK_MODES], xs)
+
+
 def _derivative_wave(cfg: SpectralConfig, branch: Branch, omega: float,
                      cos_psi: np.ndarray, sin_psi: np.ndarray, deriv_order: int) -> np.ndarray:
     """sqrt(2/(b-a)) * omega**j * cycle_j of cos(omega x), sin(omega x).
@@ -302,7 +317,8 @@ class TrigPolynomial:
             if c != 0:
                 cleaned[mode] = cleaned.get(mode, 0j) + c
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "_terms", {k: v for k, v in cleaned.items() if v != 0})
+        kept = sorted((kv for kv in cleaned.items() if kv[1] != 0), key=lambda kv: kv[0].sort_key)
+        object.__setattr__(self, "_terms", dict(kept))  # in (m, branch) order
 
     def __setattr__(self, name, value):  # immutable by convention
         raise AttributeError("TrigPolynomial is immutable")
@@ -313,10 +329,10 @@ class TrigPolynomial:
 
     def items(self) -> Iterator[tuple[Mode, complex]]:
         """Terms in deterministic (m, branch) order."""
-        return iter(sorted(self._terms.items(), key=lambda kv: kv[0].sort_key))
+        return iter(self._terms.items())
 
     def modes(self) -> tuple[Mode, ...]:
-        return tuple(sorted(self._terms, key=lambda md: md.sort_key))
+        return tuple(self._terms)
 
     def coefficient(self, mode: Mode) -> complex:
         return self._terms.get(mode, 0j)
@@ -335,32 +351,35 @@ class TrigPolynomial:
     def evaluate(self, x, deriv_order: int = 0):
         """Pointwise value of the deriv_order-th derivative.
 
-        Each term's column is ``basis_eval`` at the same points, read from one
-        block of waves over the distinct modes, without its per-term checks.
+        Each term's column is ``basis_eval`` at the same points, read from
+        ``_basis_blocks`` over the distinct modes, without its per-term checks.
         """
         deriv_order = _check_integer(deriv_order, 0, DerivativeUnavailableError, "derivative order")
-        cfg = self.config
         xs = np.asarray(x, dtype=float)
-        _check_domain(cfg, xs)
-        ms = sorted({mode.m for mode in self._terms})
-        rows = dict(zip(ms, zip(*_basis_block(cfg, ms, xs))))
-        acc = self._combine(xs.shape, lambda mode: _derivative_wave(
-            cfg, mode.branch, *rows[mode.m], deriv_order))
+        _check_domain(self.config, xs)
+        blocks = _basis_blocks(self.config, self._mode_indices(), xs)
+        acc = self._combine(xs.shape, (row for block in blocks for row in zip(*block)), deriv_order)
         if np.ndim(x) == 0:
             return acc[()] if acc.ndim == 0 else acc
         return acc
 
-    def _combine(self, shape: tuple[int, ...], column: Callable[[Mode], np.ndarray]) -> np.ndarray:
-        """sum_mode coeff * column(mode), summed in (m, branch) order.
+    def _mode_indices(self) -> list[int]:
+        """The distinct mode indices m of the terms, ascending."""
+        return [m for m, _ in groupby(mode.m for mode in self._terms)]
 
-        ``evaluate`` passes basis values at arbitrary points; the quadrature
-        layer passes tabulated columns on its grid.  Both share this
-        summation order, so equal columns give bit-equal values.  The
-        result is real when every coefficient is.
+    def _combine(self, shape: tuple[int, ...], rows: Iterable[tuple], deriv_order: int) -> np.ndarray:
+        """sum_mode coeff * deriv_order-th derivative of z_mode, summed in (m, branch) order.
+
+        rows yields omega_m, cos(omega_m x) and sin(omega_m x) for each of
+        ``_mode_indices`` in turn: ``evaluate`` walks ``_basis_blocks`` at
+        arbitrary points, the quadrature layer reads its basis table on the
+        grid.  Both share this summation order, so equal rows give bit-equal
+        values.  The result is real when every coefficient is.
         """
         acc = np.zeros(shape, dtype=complex)
-        for mode, coeff in self.items():
-            acc = acc + coeff * column(mode)
+        for (_, terms), row in zip(groupby(self._terms.items(), key=lambda kv: kv[0].m), rows):
+            for mode, coeff in terms:
+                acc = acc + coeff * _derivative_wave(self.config, mode.branch, *row, deriv_order)
         if self.is_real:
             acc = acc.real
         return acc

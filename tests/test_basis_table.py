@@ -464,3 +464,37 @@ def test_classical_coeffs_take_blocks_not_per_mode_basis_eval(monkeypatch):
         tracemalloc.stop()
     assert cv.size == 512 and calls == []
     assert peak < 1.5 * 2**20  # one block of all 512 modes would take about 15 MiB
+
+
+def test_evaluation_memory_is_bounded_by_the_mode_blocks():
+    cfg = SpectralConfig(-3.25, 0.5, 1.5)
+    terms = {Mode(m, branch): 1.0 / m for m in range(1, 257) for branch in Branch}
+    p = TrigPolynomial(cfg, terms)
+    assert len(p) == 512
+    xs = np.linspace(cfg.a, cfg.b, 10_000)
+    tracemalloc.start()
+    try:
+        values = p.evaluate(xs, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == xs.shape
+    assert peak < 24 * 2**20  # one block of all 256 modes took about 120 MiB
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=far_configs, N=st.integers(1, 40))
+def test_basis_boundary_suite_equals_the_public_defect(cfg, N):
+    [row] = verify.suite_basis_boundary(cfg, QuadratureSpec(), {"modes": N})
+    want = max(boundary_antisymmetry_defect(basis_polynomial(cfg, Mode(m, branch)), cfg, order)
+               for m in range(1, N + 1) for branch in Branch for order in range(7))
+    assert struct.pack("<d", row["observed"]) == struct.pack("<d", want)
+
+
+def test_basis_boundary_suite_walks_the_modes_once(monkeypatch):
+    calls = []
+    block = spectral._basis_block
+    monkeypatch.setattr(spectral, "_basis_block", lambda cfg, ms, xs: calls.append(list(ms)) or block(cfg, ms, xs))
+    rows = verify.suite_basis_boundary(SpectralConfig(-2.5, 0.75, 2.2), QuadratureSpec(), verify.default_params())
+    assert all(row["passed"] for row in rows)
+    assert calls == [list(range(1, 9))]

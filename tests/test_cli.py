@@ -4,9 +4,11 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semifourier import SpectralConfig, eigenvalue
-from semifourier.cli import main
+from semifourier.cli import build_parser, main
 
 
 def run_json(capsys, *argv):
@@ -236,3 +238,17 @@ def test_readme_cli_block_found():
 @pytest.mark.parametrize("command", _readme_cli_commands())
 def test_readme_cli_block_runs(command, capsys):
     assert main(shlex.split(command)[1:]) == 0, capsys.readouterr().err
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False), flag=st.sampled_from(["--a", "--b", "--k"]))
+def test_numeric_flags_read_back_any_finite_float(x, flag):
+    # argparse before Python 3.13 took -1e5 and -7.8e-05 for flags
+    args = build_parser().parse_args(["spectrum", flag, repr(x)])
+    assert math.copysign(1.0, getattr(args, flag[2:])) == math.copysign(1.0, x)
+    assert getattr(args, flag[2:]) == x
+
+
+def test_negative_exponent_endpoint_runs(capsys):
+    code, doc = run_json(capsys, "spectrum", "--a", "-7.814718497822781e-05", "--b", "2", "--N", "1")
+    assert code == 0
+    assert doc["config"]["a"] == -7.814718497822781e-05
