@@ -22,7 +22,7 @@ import sys
 
 from . import catalog
 from .errors import SemiFourierError
-from .expansion import _rescale, expansion_error, leftdef_coeffs
+from .expansion import _expansion_errors, _rescale, leftdef_coeffs
 from .ladder import _check_ladder_index, leftdef_inner, spectral_inner_r
 from .quadrature import QuadratureSpec, l2_inner
 from .report import Report, render
@@ -189,19 +189,13 @@ def _cmd_converge(args) -> int:
     entry = catalog.resolve(args.function)
     cv = catalog.coeff_vector(entry, args.trunc, cfg, spec)
     f = entry.handle(cfg)
-    rows = []
-    for M in _checkpoints(args.trunc):
-        row: dict = {"M": M}
-        if f is not None:
-            row["l2_error"] = expansion_error(f, cv, M, None, spec)
-            if args.n is not None:
-                row["ladder_error"] = expansion_error(f, cv, M, args.n, spec)
-        else:
-            # coefficient-only entry: tail within the stored truncation
-            row["l2_error"] = math.sqrt(cv.power_sum(start=M))
-            if args.n is not None:
-                row["ladder_error"] = math.sqrt(cv.power_sum(args.n, start=M))
-        rows.append(row)
+    Ms = _checkpoints(args.trunc)
+    if f is not None:
+        errors = _expansion_errors(f, cv, Ms, args.n, spec)
+    else:  # coefficient-only entry: tail within the stored truncation
+        norms = (0,) if args.n is None else (0, args.n)
+        errors = [tuple(math.sqrt(cv.power_sum(r, start=M)) for r in norms) for M in Ms]
+    rows = [dict(zip(("M", "l2_error", "ladder_error"), (M, *row))) for M, row in zip(Ms, errors)]
     params = {"function": args.function, "N": args.trunc}
     if args.n is not None:
         params["n"] = args.n

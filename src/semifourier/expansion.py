@@ -7,10 +7,14 @@ derivative integrals or by rescaling the classical ones.  Partial sums are
 always built from classical coefficients; expansion errors may be measured
 in any ladder norm the function supports.  For a function handle the
 residual f - s_M is taken on the quadrature grid, as the handle's values
-minus the partial sum's values (basis table rows fetched once, then summed
-per order), and goes through the same ladder sum as every other
-quadrature-route inner product.  Classical coefficients of a handle walk the
-basis in blocks of at most ``spectral._BLOCK_MODES`` modes.
+minus the partial sum's values, and goes through the same ladder sum as
+every other quadrature-route inner product.  ``_expansion_errors`` measures
+many orders M in one ascending sweep: the partial sum of each derivative
+order is continued term by term from one M to the next, the handle is
+evaluated once per order, and the L2 and ladder errors read the same
+residual arrays; ``expansion_error`` is its one-M case.  Classical
+coefficients of a handle walk the basis in blocks of at most
+``spectral._BLOCK_MODES`` modes.
 
 A ``CoeffVector`` owns the coefficient side of the ladder: its eigenvalues
 lambda_1..lambda_N, its per-mode power |a_m|^2 + |b_m|^2 and the power sums
@@ -40,6 +44,7 @@ from .quadrature import (
     _ladder_matrix,
     _on_grid,
     _require_finite,
+    _table_rows,
     composite_rule,
     l2_inner,
 )
@@ -190,6 +195,10 @@ def _rescale(cv: CoeffVector, n: int) -> CoeffVector:
 
 def partial_sum(cv: CoeffVector, M: int) -> TrigPolynomial:
     """Partial sum s_M = sum_{m<=M} a_m z_{m,cos} + b_m z_{m,sin} as a trig polynomial."""
+    return _modes_between(cv, 0, _check_partial_sum_order(cv, M))
+
+
+def _check_partial_sum_order(cv: CoeffVector, M: int) -> int:
     M = _check_integer(M, 1, SemiFourierError, "partial sum order")
     if M > cv.size:
         raise TruncationExceededError(f"partial sum order {M} exceeds truncation {cv.size}")
@@ -197,10 +206,16 @@ def partial_sum(cv: CoeffVector, M: int) -> TrigPolynomial:
         raise SemiFourierError(
             "partial sums are built from classical coefficients; rescale first"
         )
+    return M
+
+
+def _modes_between(cv: CoeffVector, start: int, stop: int) -> TrigPolynomial:
+    """s_stop - s_start: the terms of modes start < m <= stop, zero coefficients dropped."""
     terms: dict[Mode, complex] = {}
-    for m in range(1, M + 1):
-        terms[Mode(m, Branch.COS)] = complex(cv.cos_coeffs[m - 1])
-        terms[Mode(m, Branch.SIN)] = complex(cv.sin_coeffs[m - 1])
+    for m, a, b in zip(range(start + 1, stop + 1), cv.cos_coeffs[start:stop].tolist(),
+                       cv.sin_coeffs[start:stop].tolist()):
+        terms[Mode(m, Branch.COS)] = a
+        terms[Mode(m, Branch.SIN)] = b
     return TrigPolynomial(cv.config, terms)
 
 
@@ -210,21 +225,55 @@ def expansion_error(f, cv: CoeffVector, M: int, n: int | None = None,
 
     Trig polynomial input is handled exactly in coefficient space; for a
     function handle the residual derivatives f^(j) - s_M^(j) are taken on
-    the quadrature grid and the defining integrals summed there.
+    the quadrature grid and the defining integrals summed there.  This is
+    the one-checkpoint case of ``_expansion_errors``.
     """
-    s = partial_sum(cv, M)
+    return _expansion_errors(f, cv, [M], n, spec)[0][-1]
+
+
+def _expansion_errors(f, cv: CoeffVector, Ms, n: int | None,
+                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> list[tuple[float, ...]]:
+    """For each M of the ascending Ms: the L2 norm of f - s_M, then its n-th ladder norm if n is given.
+
+    A trig polynomial is handled exactly in coefficient space.  For a
+    function handle one ascending sweep serves every M: each derivative
+    order j keeps one grid accumulator of s_M^(j) and continues it with the
+    terms of the modes the next M adds, so s_M is the sum from zero in
+    (m, branch) order that ``_on_grid`` of ``partial_sum(cv, M)`` gives, bit
+    for bit.  f^(j) is evaluated on the nodes once per order, before the
+    first M.  s_M is real while every coefficient up to M is.  Both norms
+    read the same residual arrays f^(j) - s_M^(j), formed once per M.
+    """
+    Ms = [_check_partial_sum_order(cv, M) for M in Ms]
+    orders = (0,) if n is None else (0, _check_ladder_index(n))
     cfg = cv.config
-    order = 0 if n is None else _check_ladder_index(n)
     if isinstance(f, TrigPolynomial):
-        diff = f - s
-        sq = _inner(diff, diff, order, cfg, spec, False)
-    else:
-        f_grid, s_grid = _on_grid(f, cfg, spec), _on_grid(s, cfg, spec)
+        errors = []
+        for M in Ms:
+            diff = f - partial_sum(cv, M)
+            errors.append(tuple(_norm(_inner(diff, diff, order, cfg, spec, False)) for order in orders))
+        return errors
 
-        def residual(j: int) -> np.ndarray:
-            return f_grid(j) - s_grid(j)
+    nodes, _ = composite_rule(cfg, spec)
+    f_grid = _on_grid(f, cfg, spec)
+    f_values = [f_grid(j) for j in range(orders[-1] + 1)]
+    sums = [np.zeros(nodes.shape, dtype=complex) for _ in f_values]  # s_M^(j) on the nodes
+    real, done, errors = True, 0, []
+    for M in Ms:
+        piece = _modes_between(cv, done, M)
+        rows = _table_rows(cfg, spec, piece._mode_indices())
+        real = real and piece.is_real
+        residuals = []
+        for j, acc in enumerate(sums):
+            piece._combine(nodes.shape, rows, j, acc)
+            residuals.append(f_values[j] - (acc.real if real else acc))
+        side = [residuals.__getitem__]
+        errors.append(tuple(_norm(_ladder_matrix(side, side, order, cfg, spec)[0, 0]) for order in orders))
+        done = M
+    return errors
 
-        sq = _ladder_matrix([residual], [residual], order, cfg, spec)[0, 0]
+
+def _norm(sq: complex) -> float:
     return math.sqrt(max(sq.real, 0.0))
 
 

@@ -8,27 +8,30 @@ basis functions up to mode index around 40 together with smooth factors.
 
 Trig polynomials are evaluated on a rule's nodes from a basis table: rows
 holding cos(omega_m x) and sin(omega_m x) on the nodes, keyed by
-(a, b, panels, nodes_per_panel, m).  A row is computed by a one-mode
-``_basis_block`` the first time a polynomial with a term of mode index m is
-evaluated on that rule, so memory follows the modes actually asked for, not
-the highest index.  The table holds at most ``_BASIS_CACHE_VALUES`` node
-values per wave over all rules and drops the least recently used rows
-first.  ``_on_grid`` fetches the rows of a polynomial's distinct modes once
-and hands them, for every derivative order, to ``TrigPolynomial._combine``,
-the same summation loop ``TrigPolynomial.evaluate`` feeds from
-``_basis_blocks``; so the values are bit-identical to ``evaluate`` and to a
-sum of ``basis_eval(cfg, mode, nodes, j)`` columns.  The table stays, rather
-than a fresh block walk per call, because verify evaluates the same few
-modes on the same rule many times.
+(a, b, panels, nodes_per_panel, m).  ``_table_rows`` looks up a polynomial's
+distinct modes at once; the rows it misses come from ``_basis_block`` over
+at most ``_BLOCK_MODES`` of them at a time and are stored as copies, so no
+row pins its block and memory follows the modes actually asked for, not the
+highest index.  The table holds at most ``_BASIS_CACHE_VALUES`` node values
+per wave over all rules and drops the least recently used rows first.
+``_on_grid`` fetches the rows once and hands them, for every derivative
+order, to ``TrigPolynomial._combine``, the same summation loop
+``TrigPolynomial.evaluate`` feeds from ``_basis_blocks``; so the values are
+bit-identical to ``evaluate`` and to a sum of ``basis_eval(cfg, mode, nodes,
+j)`` columns.  The table stays, rather than a fresh block walk per call,
+because verify evaluates the same few modes on the same rule many times.
 
 ``_ladder_matrix`` is the one place that forms the ladder sum
 sum_j C(n, j) k**(n-j) * integral f^(j) conj(g^(j)) on the nodes, one array
 over all pairs; n = 0 is the L2 inner product.  Every quadrature-route inner
 product goes through it and reads trig polynomials from the table: the Gram
 matrices of the orthonormality suite, ``l2_inner``, ``leftdef_inner``,
-``operator_matrix``, direct ladder coefficients and ``expansion_error`` on a
-handle, whose residual is its grid values minus the partial sum's.  Pointwise
-evaluation never reads the table, and neither does ``classical_coeffs``.
+``operator_matrix``, direct ladder coefficients and the expansion errors of
+a handle, whose residual is its grid values minus the partial sum's.  A
+side passed as both fs and gs (a Gram matrix, a residual) is evaluated once
+per order.  Products are searched for a non-finite node only when a row sum
+is not finite.  Pointwise evaluation never reads the table, and neither does
+``classical_coeffs``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .errors import (
     SemiFourierError,
 )
 from .spectral import (
+    _BLOCK_MODES,
     SpectralConfig,
     TrigPolynomial,
     _basis_block,
@@ -127,25 +131,45 @@ _basis_rows_lock = threading.Lock()
 
 def _basis_row(cfg: SpectralConfig, spec: QuadratureSpec, m: int) -> tuple[float, np.ndarray, np.ndarray]:
     """omega_m, cos(omega_m x) and sin(omega_m x) on the rule's nodes (read-only)."""
+    return _table_rows(cfg, spec, [m])[0]
+
+
+def _table_rows(cfg: SpectralConfig, spec: QuadratureSpec, ms) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """``_basis_row`` for each of the distinct mode indices ms, with one table lookup.
+
+    The rows missing from the table are computed by ``_basis_block`` over at
+    most ``_BLOCK_MODES`` of them at a time and stored as copies: a row kept
+    as a view would hold its whole block alive.
+    """
     global _basis_rows_values
-    key = (cfg.a, cfg.b, spec.panels, spec.nodes_per_panel, m)
+    rule = (cfg.a, cfg.b, spec.panels, spec.nodes_per_panel)
+    rows = {}
     with _basis_rows_lock:
-        row = _basis_rows.get(key)
-        if row is not None:
-            _basis_rows.move_to_end(key)
-            return row
+        for m in ms:
+            row = _basis_rows.get(rule + (m,))
+            if row is not None:
+                _basis_rows.move_to_end(rule + (m,))
+                rows[m] = row
+    missing = [m for m in ms if m not in rows]
+    if not missing:
+        return [rows[m] for m in ms]
     nodes, _ = composite_rule(cfg, spec)
-    row = next(zip(*_basis_block(cfg, [m], nodes)))
-    row[1].flags.writeable = False
-    row[2].flags.writeable = False
+    for start in range(0, len(missing), _BLOCK_MODES):
+        chunk = missing[start:start + _BLOCK_MODES]
+        for m, omega, cos_psi, sin_psi in zip(chunk, *_basis_block(cfg, chunk, nodes)):
+            cos_psi, sin_psi = cos_psi.copy(), sin_psi.copy()
+            cos_psi.flags.writeable = False
+            sin_psi.flags.writeable = False
+            rows[m] = (omega, cos_psi, sin_psi)
     with _basis_rows_lock:
-        if key not in _basis_rows:
-            _basis_rows[key] = row
-            _basis_rows_values += nodes.size
+        for m in missing:
+            if rule + (m,) not in _basis_rows:
+                _basis_rows[rule + (m,)] = rows[m]
+                _basis_rows_values += nodes.size
         while _basis_rows_values > _BASIS_CACHE_VALUES:
             _, (_, dropped, _) = _basis_rows.popitem(last=False)
             _basis_rows_values -= dropped.size
-    return row
+    return [rows[m] for m in ms]
 
 
 def _on_grid(f, cfg: SpectralConfig, spec: QuadratureSpec) -> Callable[[int], np.ndarray]:
@@ -157,7 +181,7 @@ def _on_grid(f, cfg: SpectralConfig, spec: QuadratureSpec) -> Callable[[int], np
     """
     nodes, _ = composite_rule(cfg, spec)
     if isinstance(f, TrigPolynomial) and (f.config.a, f.config.b) == (cfg.a, cfg.b):
-        rows = [_basis_row(cfg, spec, m) for m in f._mode_indices()]
+        rows = _table_rows(cfg, spec, f._mode_indices())
         return lambda j: f._combine(nodes.shape, rows, j)
     return lambda j: _values_on(derivative_evaluator(f, j), nodes)
 
@@ -269,14 +293,31 @@ def _ladder_matrix(fs: list, gs: list, n: int, cfg: SpectralConfig,
     the stacked conj(g) values in one row-wise sum, bit-equal to a
     ``_weighted_sum`` per entry while the g side is all real or all complex
     (callers pass a real basis or one function; a mixed side sums as complex).
+    When fs is gs (a Gram matrix, or a residual against itself) each order
+    is evaluated once and its column values serve as the row values.
     """
     nodes, weights = composite_rule(cfg, spec)
     total = np.zeros((len(fs), len(gs)), dtype=complex)
     for j in range(n + 1):
-        weight = math.comb(n, j) * cfg.k ** (n - j)
-        g_conj = np.conjugate([g(j) for g in gs])
-        for row, f in zip(total, fs):
-            products = f(j) * g_conj
-            _require_finite(products, nodes)
-            row += weight * np.sum(weights * products, axis=1)
+        _add_order(total, fs, gs, j, math.comb(n, j) * cfg.k ** (n - j), nodes, weights)
     return total
+
+
+def _add_order(total: np.ndarray, fs: list, gs: list, j: int, weight: float,
+               nodes: np.ndarray, weights: np.ndarray) -> None:
+    """total[p] += weight * integral f_p^(j) conj(g_q^(j)) for every q, row by row.
+
+    A non-finite product makes its weighted row sum non-finite (the weights
+    are positive), so the products are searched for the offending node only
+    when a row sum is not finite.  The order's values are released on return.
+    """
+    columns = [g(j) for g in gs]
+    g_conj = np.conjugate(columns)
+    if fs is not gs:
+        columns = (f(j) for f in fs)  # the g values go before any f row is evaluated
+    for row, values in zip(total, columns):
+        products = values * g_conj
+        sums = np.sum(weights * products, axis=1)
+        if not np.isfinite(sums).all():
+            _require_finite(products, nodes)
+        row += weight * sums

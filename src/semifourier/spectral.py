@@ -33,17 +33,21 @@ point at every derivative order; boundary defect checks rely on this.
 Basis values at any points come from ``_basis_block`` (the waves
 cos(omega_m x) and sin(omega_m x), one row per mode of a set, each row the
 same bits whatever other modes share the block) and ``_derivative_wave``
-(the derivative cycle and normalization applied to a row).  ``basis_eval``
-takes a one-mode block.  Every consumer of many modes walks
-``_basis_blocks``, which yields blocks of at most ``_BLOCK_MODES`` modes, so
-its memory is bounded whatever the number of modes: ``TrigPolynomial.evaluate``
-(which checks the order and the domain once per call), ``classical_coeffs``
-on a handle and verify's basis-boundary suite.  ``TrigPolynomial._combine``
-is the one summation loop: it takes the rows of the distinct modes in
-ascending order, from that walk or from the quadrature layer's basis table
-(see :mod:`semifourier.quadrature`), so both are bit-identical to
-``basis_eval``.  ``boundary_antisymmetry_defect`` evaluates both endpoints at
-once.
+(the derivative cycle and normalization applied to a row).  A block reduces
+its arguments (2m - 1) * (x - a)/(b - a) once, in ``_sincospi``, which takes
+one exact remainder modulo 2 for both the sine and the cosine wave.
+``basis_eval`` takes a one-mode block.  Every consumer of many modes at
+arbitrary points walks ``_basis_blocks``, which yields blocks of at most
+``_BLOCK_MODES`` modes, so its memory is bounded whatever the number of
+modes: ``TrigPolynomial.evaluate`` (which checks the order and the domain
+once per call), ``classical_coeffs`` on a handle and verify's basis-boundary
+suite.  ``TrigPolynomial._combine`` is the one summation loop: it takes the
+rows of the distinct modes in ascending order, from that walk or from the
+quadrature layer's basis table (see :mod:`semifourier.quadrature`), so both
+are bit-identical to ``basis_eval``; it adds into a given accumulator when a
+partial sum continues a lower one.  A point outside [a, b], NaN included,
+raises PointOutOfDomainError.  ``boundary_antisymmetry_defect`` evaluates
+both endpoints at once.
 """
 
 from __future__ import annotations
@@ -87,8 +91,9 @@ __all__ = [
 # nodes may overshoot an endpoint by a few ulps.
 _DOMAIN_SLACK = 1e-12
 
-# Modes per block of waves in ``_basis_blocks``; one block of hundreds of
-# modes at many points takes tens of MiBs.
+# Modes per block of waves in ``_basis_blocks`` and in the fills of the
+# quadrature basis table; one block of hundreds of modes at many points
+# takes tens of MiBs.
 _BLOCK_MODES = 16
 
 
@@ -185,30 +190,59 @@ def eigenvalues(cfg: SpectralConfig, N: int) -> np.ndarray:
     return omega * omega + cfg.k
 
 
-def _sinpi(t: np.ndarray) -> np.ndarray:
-    """sin(pi * t), exact zero at every integer t."""
-    r = np.fmod(np.asarray(t, dtype=float), 2.0)  # exact remainder
-    r = np.where(r < 0.0, r + 2.0, r)
-    sign = np.where(r > 1.0, -1.0, 1.0)
-    r = np.where(r > 1.0, r - 1.0, r)
-    r = np.where(r > 0.5, 1.0 - r, r)
-    return sign * np.sin(np.pi * r)
+def _sincospi(t) -> tuple[np.ndarray, np.ndarray]:
+    """sin(pi * t) and cos(pi * t) from one exact reduction of t modulo 2.
+
+    The sine is an exact zero at every integer t; the cosine is an exact
+    zero at every half-integer and exactly +-1 at integers.  The remainder
+    |t| - 2*floor(|t|/2) is exact (Sterbenz), and with the sign of t it is
+    fmod(t, 2); each wave then folds its own copy into [0, 1/2] in place.
+    ``np.minimum(r, c - r)`` is the fold ``c - r if r > c/2 else r``, since
+    c - r is exact wherever it is the smaller.  A sign flip is a multiply
+    by -1.0 and the half-integer zero a multiply by 0.0 at a positive value,
+    so the bits are those of the per-wave branch-and-select reduction (at
+    +-inf, which the domain check keeps out, only the sign of the NaN may
+    differ).
+    """
+    t = np.asarray(t, dtype=float)
+    r = np.abs(t)
+    r -= 2.0 * np.floor(r * 0.5)  # |fmod(t, 2)|, exact
+    s = np.copysign(r, t)  # fmod(t, 2)
+    s = np.where(s < 0.0, s + 2.0, s)  # [0, 2)
+    flip = s > 1.0
+    s -= flip
+    np.minimum(s, 1.0 - s, out=s)
+    s *= np.pi
+    sin = np.sin(s, out=s)
+    sin *= 1.0 - 2.0 * flip
+
+    np.minimum(r, 2.0 - r, out=r)  # [0, 1]
+    flip = r > 0.5
+    np.minimum(r, 1.0 - r, out=r)
+    off_half = r != 0.5
+    r *= np.pi
+    cos = np.cos(r, out=r)
+    cos *= 1.0 - 2.0 * flip
+    cos *= off_half
+    return sin, cos
 
 
-def _cospi(t: np.ndarray) -> np.ndarray:
-    """cos(pi * t), exact zero at every half-integer and exact +-1 at integers."""
-    r = np.abs(np.fmod(np.asarray(t, dtype=float), 2.0))
-    r = np.where(r > 1.0, 2.0 - r, r)
-    sign = np.where(r > 0.5, -1.0, 1.0)
-    r = np.where(r > 0.5, 1.0 - r, r)
-    out = sign * np.cos(np.pi * r)
-    return np.where(r == 0.5, 0.0, out)
+def _sinpi(t) -> np.ndarray:
+    """sin(pi * t) alone, the first wave of ``_sincospi``."""
+    return _sincospi(t)[0]
+
+
+def _cospi(t) -> np.ndarray:
+    """cos(pi * t) alone, the second wave of ``_sincospi``."""
+    return _sincospi(t)[1]
 
 
 def _check_domain(cfg: SpectralConfig, xs: np.ndarray) -> None:
+    """PointOutOfDomainError unless every point lies in [a, b] (within the slack); NaN never does."""
     slack = _DOMAIN_SLACK * max(1.0, abs(cfg.a), abs(cfg.b))
-    if np.any(xs < cfg.a - slack) or np.any(xs > cfg.b + slack):
-        bad = xs[(xs < cfg.a - slack) | (xs > cfg.b + slack)]
+    inside = (xs >= cfg.a - slack) & (xs <= cfg.b + slack)
+    if not inside.all():
+        bad = xs[~inside]
         raise PointOutOfDomainError(
             f"evaluation point {float(np.ravel(bad)[0])!r} outside [{cfg.a}, {cfg.b}]"
         )
@@ -261,17 +295,20 @@ def _basis_block(cfg: SpectralConfig, ms, xs: np.ndarray):
     (2m-1) * (x-a)/(b-a) is reduced exactly modulo 2 and rotated by the phase
     omega_m * a, elementwise, so z(a) = -z(b) exactly and no row reads another.
     """
-    u = (np.ravel(xs) - cfg.a) / (cfg.b - cfg.a)  # u = 1.0 exactly at x = b
-    t = np.array([2 * m - 1 for m in ms], dtype=float)[:, None] * u
-    base_cos, base_sin = _cospi(t), _sinpi(t)
+    length = cfg.b - cfg.a
+    u = (np.ravel(xs) - cfg.a) / length  # u = 1.0 exactly at x = b
+    odd = [2 * m - 1 for m in ms]
+    base_sin, base_cos = _sincospi(np.array(odd, dtype=float)[:, None] * u)
 
-    omegas = [angular_frequency(cfg, m) for m in ms]
+    omegas = [k * math.pi / length for k in odd]  # the operations of ``angular_frequency``
     pc = np.array([math.cos(omega * cfg.a) for omega in omegas])[:, None]
     ps = np.array([math.sin(omega * cfg.a) for omega in omegas])[:, None]
+    cos_psi = base_cos * pc  # cos(omega * x)
+    cos_psi -= base_sin * ps
+    sin_psi = base_sin * pc  # sin(omega * x)
+    sin_psi += base_cos * ps
     shape = (len(omegas),) + np.shape(xs)
-    cos_psi = (base_cos * pc - base_sin * ps).reshape(shape)  # cos(omega * x)
-    sin_psi = (base_sin * pc + base_cos * ps).reshape(shape)  # sin(omega * x)
-    return omegas, cos_psi, sin_psi
+    return omegas, cos_psi.reshape(shape), sin_psi.reshape(shape)
 
 
 def _basis_blocks(cfg: SpectralConfig, ms, xs: np.ndarray) -> Iterator[tuple]:
@@ -289,10 +326,10 @@ def _derivative_wave(cfg: SpectralConfig, branch: Branch, omega: float,
     the scalar factor alone.
     """
     q = (deriv_order + (3 if branch is Branch.SIN else 0)) % 4
-    wave = sin_psi if q % 2 else cos_psi
+    scale = math.sqrt(2.0 / (cfg.b - cfg.a)) * omega**deriv_order
     if q in (1, 2):
-        wave = -wave
-    return math.sqrt(2.0 / (cfg.b - cfg.a)) * omega**deriv_order * wave
+        scale = -scale  # (-s) * wave is s * (-wave), bit for bit, without a negated copy
+    return scale * (sin_psi if q % 2 else cos_psi)
 
 
 class TrigPolynomial:
@@ -367,21 +404,26 @@ class TrigPolynomial:
         """The distinct mode indices m of the terms, ascending."""
         return [m for m, _ in groupby(mode.m for mode in self._terms)]
 
-    def _combine(self, shape: tuple[int, ...], rows: Iterable[tuple], deriv_order: int) -> np.ndarray:
+    def _combine(self, shape: tuple[int, ...], rows: Iterable[tuple], deriv_order: int,
+                 acc: np.ndarray | None = None) -> np.ndarray:
         """sum_mode coeff * deriv_order-th derivative of z_mode, summed in (m, branch) order.
 
         rows yields omega_m, cos(omega_m x) and sin(omega_m x) for each of
         ``_mode_indices`` in turn: ``evaluate`` walks ``_basis_blocks`` at
         arbitrary points, the quadrature layer reads its basis table on the
         grid.  Both share this summation order, so equal rows give bit-equal
-        values.  The result is real when every coefficient is.
+        values.  The terms are added in place to acc, a complex array of
+        shape that starts at zero: a caller that passes the accumulator of
+        a sum of lower modes continues that sum term by term, as one sum
+        from zero would.  The result is real when every coefficient is.
         """
-        acc = np.zeros(shape, dtype=complex)
+        if acc is None:
+            acc = np.zeros(shape, dtype=complex)
         for (_, terms), row in zip(groupby(self._terms.items(), key=lambda kv: kv[0].m), rows):
             for mode, coeff in terms:
-                acc = acc + coeff * _derivative_wave(self.config, mode.branch, *row, deriv_order)
+                acc += coeff * _derivative_wave(self.config, mode.branch, *row, deriv_order)
         if self.is_real:
-            acc = acc.real
+            return acc.real
         return acc
 
     def __call__(self, x):
