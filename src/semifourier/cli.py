@@ -16,6 +16,7 @@ verify run has failing checks.  Reports are emitted as deterministic JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -94,8 +95,11 @@ def _quad_spec(args) -> QuadratureSpec:
 def _emit(report: Report, args) -> None:
     text = render(report, args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SemiFourierError(f"cannot write report to {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -133,7 +137,7 @@ def _cmd_coeffs(args) -> int:
         cv = leftdef_coeffs(f, args.trunc, args.n, cfg, spec, method="direct")
         params = {"function": args.function, "N": args.trunc, "n": args.n, "method": "direct"}
     # .tolist() columns give Python complex cells, which the renderer
-    # formats a column at a time
+    # prints as two %.17g fields
     rows = [
         {"m": m, "a": a, "b": b}
         for m, a, b in zip(range(1, cv.size + 1), cv.cos_coeffs.tolist(), cv.sin_coeffs.tolist())
@@ -231,8 +235,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``run`` reuses; parse_args leaves a parser as it found it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 
 

@@ -6,16 +6,19 @@ Complex values appear as {"re": ..., "im": ...} objects in JSON and as
 <name>_re / <name>_im column pairs in CSV.  Non-finite floats are rendered
 as the quoted strings "inf", "-inf", "nan" (unquoted in CSV).
 
-Rows are formatted a column at a time, by one path for both formats.
+Rows are rendered a run at a time, by one path for both formats.
 Consecutive rows with the same keys in the same order form a run, and each
-column of a run gets its formatter chosen once, from the types it holds:
-a column of Python floats, ints or complex numbers is formatted in bulk
-with ``f"{x:.17g}"`` (non-finite cells patched afterwards); any other
-column, of strings, bools, None, numpy scalars, nested or mixed values,
-goes through ``_json_value`` or ``_csv_cell`` cell by cell.  Every row keeps
-its own key order, and the CSV header is the union of the flattened keys in
-the order they first appear.  The output is the same as rendering each row
-cell by cell.
+run is rendered by one ``%`` operation: a row template, built once from the
+kinds of its columns, repeated once per row and filled from the run's cells
+in row-major order.  A column of Python ints takes ``%d``, a column of
+Python floats ``%.17g`` and a column of Python complex numbers two
+``%.17g`` fields, ``{"re": %.17g, "im": %.17g}`` in JSON.  Any other column,
+of strings, bools, None, numpy scalars, nested or mixed values, and in JSON
+a float column holding a non-finite value, takes ``%s`` fed the cells of
+``_json_value``, ``_format_float`` or ``_csv_cell``.  A ``%`` in a JSON key
+is doubled in the template.  Every row keeps its own key order, and the CSV
+header is the union of the flattened keys in the order they first appear.
+The output is the same as rendering each row cell by cell.
 """
 
 from __future__ import annotations
@@ -85,12 +88,12 @@ def render_json(report: Report) -> str:
         "params": report.params,
     }
     body = ", ".join(f"{json.dumps(key)}: {_json_value(value)}" for key, value in head.items())
-    rows: list[str] = []
+    rows = []
     for size, named in _row_parts(report.rows, "json"):
-        keys = [json.dumps(str(key)).replace("{", "{{").replace("}", "}}") for key in named]
-        template = "{{" + ", ".join(f"{key}: {{}}" for key in keys) + "}}"
-        rows += map(template.format, *named.values()) if named else ["{}"] * size
-    return f'{{{body}, "rows": [{", ".join(rows)}], "summary": {_json_value(report.summary)}}}\n'
+        fields = ", ".join(f"{json.dumps(str(key)).replace('%', '%%')}: {spec}"
+                           for key, (spec, _) in named.items())
+        rows.append(_fill("{" + fields + "}", ", ", size, [c for _, cs in named.values() for c in cs]))
+    return f'{{{body}, "rows": [{"".join(rows)[:-2]}], "summary": {_json_value(report.summary)}}}\n'
 
 
 def _flatten_row(row: dict) -> dict:
@@ -134,65 +137,75 @@ def _csv_cell(value) -> str:
 def render_csv(report: Report) -> str:
     parts = _row_parts(report.rows, "csv")
     header = list(dict.fromkeys(name for _, named in parts for name in named))
-    lines = [",".join(header)]
+    text = [",".join(header) + "\n"]
     for size, named in parts:
-        blank = [""] * size
-        columns = [named.get(name, blank) for name in header]
-        lines += map(",".join, zip(*columns)) if columns else [""] * size
-    return "\n".join(lines) + "\n"
+        template = ",".join(named[name][0] if name in named else "" for name in header)
+        text.append(_fill(template, "\n", size, [c for name in header if name in named
+                                                   for c in named[name][1]]))
+    return "".join(text)
+
+
+def _fill(template: str, sep: str, size: int, columns: list[list]) -> str:
+    """size rows of template + sep, filled by one % from the columns read row by row."""
+    values = [None] * (size * len(columns))
+    for i, column in enumerate(columns):
+        values[i::len(columns)] = column
+    return (template + sep) * size % tuple(values)
 
 
 def _row_parts(rows: list[dict], fmt: str) -> list[tuple[int, dict]]:
-    """Formatted parts of the rows, one per run of rows with the same keys in the same order."""
+    """Template fields of the rows, one part per run of rows with the same keys in the same order."""
     return [part for _, run in itertools.groupby(rows, key=tuple) for part in _run_parts(list(run), fmt)]
 
 
 def _run_parts(run: list[dict], fmt: str) -> list[tuple[int, dict]]:
-    """(row count, {name: cells}) of a run, names in the rows' key order."""
+    """(row count, {name: (spec, value columns)}) of a run, names in the rows' key order."""
     columns = [_column(key, [row[key] for row in run], fmt) for key in run[0]]
     if None in columns:  # a CSV column flattens differently row by row
         return [part for row in run for part in _run_parts([row], fmt)]
     named: dict = {}
     for column in columns:
-        named.update(column)  # a repeated name keeps its place and takes the last cells
+        named.update(column)  # a repeated name keeps its place and takes the last field
     return [(len(run), named)]
 
 
-def _column(key, values: Sequence, fmt: str) -> list[tuple[str, list[str]]] | None:
-    """(name, cells) parts of one column of a run, its formatter chosen once.
+def _column(key, values: Sequence, fmt: str) -> list[tuple[str, tuple[str, list]]] | None:
+    """(name, (spec, value columns)) fields of one column of a run, its spec chosen once.
 
-    JSON gives one part whose cells are complete values; CSV gives one part
-    per flattened column, <key>_re and <key>_im for complex values.  None
-    when the cells of a CSV column do not all flatten to the same names.
+    spec is the column's part of the row template and takes one value from
+    each value column per row.  JSON gives one field per column; CSV gives
+    one per flattened column, <key>_re and <key>_im for complex values.
+    None when the cells of a CSV column do not all flatten to the same names.
     """
     kinds = set(map(type, values))
-    if kinds == {float}:
-        return [(key, _float_cells(values, fmt))]
     if kinds == {int}:
-        return [(key, list(map(str, values)))]
+        return [(key, ("%d", [values]))]
+    if kinds == {float}:
+        return [(key, _float_field(values, fmt))]
     if kinds == {complex}:
-        re = _float_cells([c.real for c in values], fmt)
-        im = _float_cells([c.imag for c in values], fmt)
+        re = _float_field([c.real for c in values], fmt)
+        im = _float_field([c.imag for c in values], fmt)
         if fmt == "json":
-            return [(key, [f'{{"re": {r}, "im": {i}}}' for r, i in zip(re, im)])]
+            return [(key, (f'{{"re": {re[0]}, "im": {im[0]}}}', re[1] + im[1]))]
         return [(f"{key}_re", re), (f"{key}_im", im)]
     if fmt == "json":
-        return [(key, list(map(_json_value, values)))]
+        return [(key, ("%s", [list(map(_json_value, values))]))]
     flat = [_flatten_row({key: value}) for value in values]
     names = list(flat[0])
     if any(list(cell) != names for cell in flat):
         return None
-    return [(name, [_csv_cell(cell[name]) for cell in flat]) for name in names]
+    return [(name, ("%s", [[_csv_cell(cell[name]) for cell in flat]])) for name in names]
 
 
-def _float_cells(values: Sequence[float], fmt: str) -> list[str]:
-    cells = list(map(format, values, itertools.repeat(".17g")))  # f"{x:.17g}"
-    if not all(map(math.isfinite, values)):
-        patch = _format_float if fmt == "json" else _csv_cell
-        for i, x in enumerate(values):
-            if not math.isfinite(x):
-                cells[i] = patch(x)
-    return cells
+def _float_field(values: Sequence[float], fmt: str) -> tuple[str, list]:
+    """(spec, value columns) of a float column.
+
+    ``%.17g`` prints nan, inf and -inf as CSV writes them; JSON quotes them,
+    so there a column holding one takes the ``_format_float`` cells.
+    """
+    if fmt == "csv" or all(map(math.isfinite, values)):
+        return "%.17g", [values]
+    return "%s", [list(map(_format_float, values))]
 
 
 def render(report: Report, fmt: str) -> str:

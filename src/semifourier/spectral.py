@@ -593,17 +593,38 @@ def apply_ell_power(p: TrigPolynomial, n: int, method: str = "iterate") -> TrigP
     sum_j c_j * p^(2j) with the closed-form derivative cycle.  Both routes
     scale the coefficient of mode m by lambda_m**n up to floating-point
     association, and tests hold them together at relative 1e-10.
+
+    Each term runs the scalar operations of the composed polynomial
+    operations (``apply_ell``; ``derivative``, ``*`` and ``+``), including
+    the ``0j +`` of each construction and the dropping of zero terms, and
+    one polynomial is built at the end, so the result is bit-equal to the
+    composition without its intermediate polynomials.
     """
     n = _check_integer(n, 1, InvalidModeError, "power")
+    cfg = p.config
+    terms: dict[Mode, complex] = {}
     if method == "iterate":
-        out = p
-        for _ in range(n):
-            out = apply_ell(out)
-        return out
-    if method == "binomial":
-        coeffs = ell_power_coefficients(n, p.config.k)
-        acc = TrigPolynomial.zero(p.config)
-        for j, c in enumerate(coeffs):
-            acc = acc + c * p.derivative(2 * j)
-        return acc
-    raise SemiFourierError(f"unknown method {method!r}, expected 'iterate' or 'binomial'")
+        for mode, c in p.items():
+            lam = eigenvalue(cfg, mode.m)
+            for _ in range(n):
+                c = 0j + lam * c
+                if c == 0:  # apply_ell drops the term
+                    break
+            terms[mode] = c
+    elif method == "binomial":
+        coeffs = [complex(c) for c in ell_power_coefficients(n, cfg.k)]
+        for mode, d in p.items():
+            omega = angular_frequency(cfg, mode.m)
+            first, second = (-omega, omega) if mode.branch is Branch.COS else (omega, -omega)
+            acc = 0j  # a sum that reaches zero is dropped, and restarts from 0j
+            for j, c in enumerate(coeffs):
+                if j:  # p.derivative(2j) is two more quarter-turns of p.derivative(2j - 2)
+                    d = 0j + second * (0j + first * d)
+                if d != 0:  # derivative drops a zero term
+                    x = 0j + c * d
+                    if x != 0:  # the scaled polynomial drops a zero term
+                        acc = 0j + (acc + 1.0 * x)
+            terms[mode] = acc
+    else:
+        raise SemiFourierError(f"unknown method {method!r}, expected 'iterate' or 'binomial'")
+    return TrigPolynomial(cfg, terms)

@@ -252,3 +252,29 @@ def test_negative_exponent_endpoint_runs(capsys):
     code, doc = run_json(capsys, "spectrum", "--a", "-7.814718497822781e-05", "--b", "2", "--N", "1")
     assert code == 0
     assert doc["config"]["a"] == -7.814718497822781e-05
+
+
+def test_reused_parser_matches_a_fresh_parse(capsys):
+    from semifourier import cli
+
+    runs = [["verify", "--suite", "eigenvalues"], ["spectrum", "--N", "5"], ["verify", "--suite", "eigenvalues"]]
+    for argv in runs:
+        assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+        code = main(argv)
+        reused = capsys.readouterr().out
+        fresh_code = cli._COMMANDS[argv[0]](build_parser().parse_args(argv))
+        assert (code, reused) == (fresh_code, capsys.readouterr().out)
+    assert cli._parser().parse_args(runs[0]).suite == ["eigenvalues"]  # append does not pile up
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+
+def test_unwritable_output_path_exit_code(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["spectrum", "--N", "3", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write report to {target}: No such file or directory\n"
+    assert main(["spectrum", "--N", "3", "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write report to {tmp_path}: Is a directory\n"

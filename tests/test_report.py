@@ -210,3 +210,65 @@ def test_render_deterministic_and_parses_back(report):
         assert all(_read_back(parsed[key], value) for key, value in row.items())
     records = list(csv.reader(io.StringIO(render_csv(report), newline="")))
     assert len(records) == 1 + len(report.rows)
+
+
+# ------------------------------------------------ one template per run
+# Each run of rows is rendered by one % operation, so a % in a key or in a
+# cell must come out as written, and a column's one non-finite cell, wherever
+# it sits, must still be written as the per-cell renderer writes it.
+
+def _with_percent_signs(report):
+    def cell(value):
+        return value.replace(",", "%s%%,") if isinstance(value, str) else value
+    rows = [{f"{key}%d%%(x)s": cell(value) for key, value in row.items()} for row in report.rows]
+    return Report(report.kind, report.config, report.params, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=st.one_of(reports(ragged=False), reports(ragged=True)).map(_with_percent_signs))
+def test_template_renderer_keeps_percent_signs(report):
+    assert render_json(report) == _json_per_cell(report)
+    assert render_csv(report) == _csv_per_cell(report)
+
+
+def test_percent_in_key_and_string_cell(cfg):
+    rows = [{"50%": 0.5, "%d": 3, "note": "100% done, %s"}, {"50%": 1.5, "%d": 4, "note": "%(m)s %%"}]
+    report = Report("demo", cfg, {"N": 2}, rows)
+    assert render_json(report) == _json_per_cell(report)
+    assert render_csv(report) == _csv_per_cell(report)
+    assert json.loads(render_json(report))["rows"] == rows
+    assert render_csv(report).split("\n")[1] == '0.5,3,"100% done, %s"'
+
+
+@pytest.mark.parametrize("last", [math.nan, math.inf, -math.inf])
+def test_nonfinite_value_in_the_last_row_only(cfg, last):
+    values = [0.1 * m for m in range(1, 6)] + [last]
+    rows = [{"m": m, "x": x, "z": complex(1.0, x)} for m, x in enumerate(values, 1)]
+    report = Report("demo", cfg, {"N": len(rows)}, rows)
+    assert render_json(report) == _json_per_cell(report)
+    assert render_csv(report) == _csv_per_cell(report)
+    name = _csv_cell(last)  # nan, inf or -inf
+    assert json.loads(render_json(report))["rows"][-1] == {"m": 6, "x": name, "z": {"re": 1.0, "im": name}}
+    assert render_csv(report).split("\n")[-2] == f"6,{name},1,{name}"
+
+
+def _mismatch(text, reference):
+    """None when the texts are equal, else both around their first difference.
+
+    A short message in place of pytest's diff, which takes minutes on
+    megabyte-long strings.
+    """
+    if text == reference:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(text, reference)) if x != y), min(map(len, (text, reference))))
+    return text[max(i - 40, 0):i + 40], reference[max(i - 40, 0):i + 40]
+
+
+def test_large_spectrum_shaped_report(cfg):
+    from semifourier import eigenvalues
+
+    lam = eigenvalues(cfg, 100_000).tolist()
+    report = Report("spectrum", cfg, {"modes": len(lam)},
+                    [{"m": m, "eigenvalue": value} for m, value in enumerate(lam, start=1)])
+    assert _mismatch(render_json(report), _json_per_cell(report)) is None
+    assert _mismatch(render_csv(report), _csv_per_cell(report)) is None

@@ -371,3 +371,52 @@ def test_boundary_defect_requires_derivative(cfg):
     f = FunctionHandle(derivatives=(lambda x: x,))
     with pytest.raises(DerivativeUnavailableError):
         boundary_antisymmetry_defect(f, cfg, 1)
+
+
+# ------------------------------------- ell^n without intermediate polynomials
+# apply_ell_power runs the scalar operations of the composed polynomial
+# operations term by term; the composition itself is the reference.
+
+def _apply_ell_power_composed(p, n, method):
+    if method == "iterate":
+        out = p
+        for _ in range(n):
+            out = apply_ell(out)
+        return out
+    coeffs = ell_power_coefficients(n, p.config.k)
+    acc = TrigPolynomial.zero(p.config)
+    for j, c in enumerate(coeffs):
+        acc = acc + c * p.derivative(2 * j)
+    return acc
+
+
+def _random_polynomial(rng):
+    a = float(rng.uniform(-10.0, 10.0))
+    cfg = SpectralConfig(a, a + 10.0 ** rng.uniform(-3, 2), 10.0 ** rng.uniform(-3, 3))
+    parts = [0.0, -0.0, 1.0, -1.0]
+    terms = {}
+    for _ in range(int(rng.integers(1, 9))):
+        m = int(10 ** rng.uniform(0, 5))
+        branch = Branch.COS if rng.random() < 0.5 else Branch.SIN
+        re, im = (float(rng.standard_normal() * 10.0 ** rng.uniform(-300, 300))
+                  if rng.random() < 0.8 else parts[int(rng.integers(4))] for _ in range(2))
+        terms[Mode(m, branch)] = complex(re, im)
+    return TrigPolynomial(cfg, terms)
+
+
+@pytest.mark.parametrize("method", ["iterate", "binomial"])
+def test_apply_ell_power_equals_the_composition(method):
+    rng = np.random.default_rng(90210)
+    for _ in range(400):
+        p = _random_polynomial(rng)
+        for n in range(1, 7):
+            assert repr(apply_ell_power(p, n, method)) == repr(_apply_ell_power_composed(p, n, method))
+
+
+@pytest.mark.parametrize("method", ["iterate", "binomial"])
+def test_apply_ell_power_drops_terms_that_vanish(method):
+    cfg = SpectralConfig(0.0, 1000.0, 1e-3)  # lambda_1 ~ 1e-3: tiny coefficients underflow
+    p = TrigPolynomial(cfg, {Mode.cos(1): 1e-320, Mode.sin(1): complex(-0.0, 5e-324), Mode.cos(2): 1.0})
+    image = apply_ell_power(p, 3, method)
+    assert repr(image) == repr(_apply_ell_power_composed(p, 3, method))
+    assert image.modes() == (Mode.cos(2),)
