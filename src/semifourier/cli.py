@@ -21,6 +21,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from . import catalog
 from .errors import SemiFourierError
 from .expansion import _expansion_errors, _rescale, leftdef_coeffs
@@ -112,9 +114,8 @@ def _check_count(count: int) -> None:
 def _cmd_spectrum(args) -> int:
     cfg = _config(args)
     _check_count(args.trunc)
-    lam = eigenvalues(cfg, args.trunc).tolist()
-    rows = [{"m": m, "eigenvalue": value} for m, value in enumerate(lam, start=1)]
-    _emit(Report("spectrum", cfg, {"modes": args.trunc}, rows), args)
+    table = {"m": np.arange(1, args.trunc + 1), "eigenvalue": eigenvalues(cfg, args.trunc)}
+    _emit(Report("spectrum", cfg, {"modes": args.trunc}, table), args)
     return 0
 
 
@@ -136,13 +137,8 @@ def _cmd_coeffs(args) -> int:
             raise SemiFourierError(f"{entry.name} has no pointwise handle; use --method rescale")
         cv = leftdef_coeffs(f, args.trunc, args.n, cfg, spec, method="direct")
         params = {"function": args.function, "N": args.trunc, "n": args.n, "method": "direct"}
-    # .tolist() columns give Python complex cells, which the renderer
-    # prints as two %.17g fields
-    rows = [
-        {"m": m, "a": a, "b": b}
-        for m, a, b in zip(range(1, cv.size + 1), cv.cos_coeffs.tolist(), cv.sin_coeffs.tolist())
-    ]
-    _emit(Report("coeffs", cfg, params, rows), args)
+    table = {"m": np.arange(1, cv.size + 1), "a": cv.cos_coeffs, "b": cv.sin_coeffs}
+    _emit(Report("coeffs", cfg, params, table), args)
     return 0
 
 
@@ -199,11 +195,11 @@ def _cmd_converge(args) -> int:
     else:  # coefficient-only entry: tail within the stored truncation
         norms = (0,) if args.n is None else (0, args.n)
         errors = [tuple(math.sqrt(cv.power_sum(r, start=M)) for r in norms) for M in Ms]
-    rows = [dict(zip(("M", "l2_error", "ladder_error"), (M, *row))) for M, row in zip(Ms, errors)]
+    table = {"M": np.array(Ms), **dict(zip(("l2_error", "ladder_error"), np.array(errors).T))}
     params = {"function": args.function, "N": args.trunc}
     if args.n is not None:
         params["n"] = args.n
-    _emit(Report("converge", cfg, params, rows), args)
+    _emit(Report("converge", cfg, params, table), args)
     return 0
 
 

@@ -6,19 +6,24 @@ Complex values appear as {"re": ..., "im": ...} objects in JSON and as
 <name>_re / <name>_im column pairs in CSV.  Non-finite floats are rendered
 as the quoted strings "inf", "-inf", "nan" (unquoted in CSV).
 
-Rows are rendered a run at a time, by one path for both formats.
-Consecutive rows with the same keys in the same order form a run, and each
-run is rendered by one ``%`` operation: a row template, built once from the
-kinds of its columns, repeated once per row and filled from the run's cells
-in row-major order.  A column of Python ints takes ``%d``, a column of
-Python floats ``%.17g`` and a column of Python complex numbers two
-``%.17g`` fields, ``{"re": %.17g, "im": %.17g}`` in JSON.  Any other column,
-of strings, bools, None, numpy scalars, nested or mixed values, and in JSON
-a float column holding a non-finite value, takes ``%s`` fed the cells of
-``_json_value``, ``_format_float`` or ``_csv_cell``.  A ``%`` in a JSON key
-is doubled in the template.  Every row keeps its own key order, and the CSV
-header is the union of the flattened keys in the order they first appear.
-The output is the same as rendering each row cell by cell.
+Rows are given as a list of dicts or as one table, a dict of equal-length
+1-D numpy columns of signed ints, float64 or complex128; a table renders exactly as
+the list of its rows would, and a table with no rows as ``rows=[]``.  Both
+are rendered by one path for both formats, a part at a time.  A table is
+one part.  In a list, consecutive rows with the same keys in the same order
+form a run, and each run is one part.  Each part is rendered by one ``%``
+operation: a row template, built once from the kinds of its columns,
+repeated once per row and filled from the part's cells in row-major order.
+An integer column or a column of Python ints takes ``%d``, a float64 column
+or a column of Python floats ``%.17g``, and a complex128 column or a column
+of Python complex numbers two ``%.17g`` fields, ``{"re": %.17g, "im":
+%.17g}`` in JSON.  Any other column, of strings, bools, None, numpy
+scalars, nested or mixed values, and in JSON a float column holding a
+non-finite value, takes ``%s`` fed the cells of ``_json_value``,
+``_format_float`` or ``_csv_cell``.  A ``%`` in a JSON key is doubled in
+the template.  Every row keeps its own key order, and the CSV header is the
+union of the flattened keys in the order they first appear.  The output is
+the same as rendering each row cell by cell.
 """
 
 from __future__ import annotations
@@ -39,12 +44,15 @@ __all__ = ["Report", "render_json", "render_csv", "render"]
 
 @dataclass
 class Report:
-    """Result of one command: config echo, parameters, rows, pass/fail tally."""
+    """Result of one command: config echo, parameters, rows, pass/fail tally.
+
+    rows is a list of dicts or one table of numpy columns (module docstring).
+    """
 
     kind: str
     config: SpectralConfig
     params: dict
-    rows: list[dict]
+    rows: list[dict] | dict[str, np.ndarray]
     summary: dict = field(default_factory=lambda: {"pass": 0, "fail": 0})
 
 
@@ -153,41 +161,78 @@ def _fill(template: str, sep: str, size: int, columns: list[list]) -> str:
     return (template + sep) * size % tuple(values)
 
 
-def _row_parts(rows: list[dict], fmt: str) -> list[tuple[int, dict]]:
-    """Template fields of the rows, one part per run of rows with the same keys in the same order."""
+def _row_parts(rows: list[dict] | dict, fmt: str) -> list[tuple[int, dict]]:
+    """Template fields of the rows: a table is one part, a list one per run of rows with the same keys."""
+    if isinstance(rows, dict):
+        size = _table_size(rows)
+        return [_part(size, rows, fmt)] if size else []
     return [part for _, run in itertools.groupby(rows, key=tuple) for part in _run_parts(list(run), fmt)]
 
 
 def _run_parts(run: list[dict], fmt: str) -> list[tuple[int, dict]]:
-    """(row count, {name: (spec, value columns)}) of a run, names in the rows' key order."""
-    columns = [_column(key, [row[key] for row in run], fmt) for key in run[0]]
-    if None in columns:  # a CSV column flattens differently row by row
+    """The part of a run, or one part per row when a CSV column cannot share one."""
+    part = _part(len(run), {key: [row[key] for row in run] for key in run[0]}, fmt)
+    if part is None:  # a CSV column flattens differently row by row
         return [part for row in run for part in _run_parts([row], fmt)]
+    return [part]
+
+
+def _table_size(table: dict) -> int:
+    """The common length of a table's columns: 1-D arrays of signed ints, float64 or complex128."""
+    for key, column in table.items():
+        if not isinstance(column, np.ndarray) or column.ndim != 1:
+            raise ValueError(f"report table column {key!r} is not a 1-D numpy array")
+        if column.dtype.kind != "i" and column.dtype not in (np.float64, np.complex128):
+            raise ValueError(f"report table column {key!r} has dtype {column.dtype}; "
+                             "expected a signed integer, float64 or complex128")
+    sizes = {len(column) for column in table.values()}
+    if len(sizes) > 1:
+        raise ValueError(f"report table columns differ in length: {sorted(sizes)}")
+    return sizes.pop() if sizes else 0
+
+
+def _part(size: int, columns: dict, fmt: str) -> tuple[int, dict] | None:
+    """(row count, {name: (spec, value columns)}) of columns of size cells, names in key order."""
+    fields = [_column(key, values, fmt) for key, values in columns.items()]
+    if None in fields:
+        return None
     named: dict = {}
-    for column in columns:
-        named.update(column)  # a repeated name keeps its place and takes the last field
-    return [(len(run), named)]
+    for column_fields in fields:
+        named.update(column_fields)  # a repeated name keeps its place and takes the last field
+    return size, named
 
 
-def _column(key, values: Sequence, fmt: str) -> list[tuple[str, tuple[str, list]]] | None:
-    """(name, (spec, value columns)) fields of one column of a run, its spec chosen once.
+def _column(key, values: Sequence | np.ndarray, fmt: str) -> list[tuple[str, tuple[str, list]]] | None:
+    """(name, (spec, value columns)) fields of one column, its spec chosen once.
 
     spec is the column's part of the row template and takes one value from
     each value column per row.  JSON gives one field per column; CSV gives
     one per flattened column, <key>_re and <key>_im for complex values.
-    None when the cells of a CSV column do not all flatten to the same names.
+    A numpy column takes its field from its dtype; a list of exact Python
+    ints, floats or complex numbers takes the same field.  None when the
+    cells of a CSV column do not all flatten to the same names.
     """
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        return [(key, ("%d", [values]))]
-    if kinds == {float}:
+    if not isinstance(values, np.ndarray):
+        kinds = set(map(type, values))
+        if kinds == {int}:
+            return [(key, ("%d", [values]))]
+        if kinds == {float} or kinds == {complex}:
+            values = np.array(values)
+        else:
+            return _cell_column(key, values, fmt)
+    if values.dtype.kind == "i":
+        return [(key, ("%d", [values.tolist()]))]
+    if values.dtype.kind == "f":
         return [(key, _float_field(values, fmt))]
-    if kinds == {complex}:
-        re = _float_field([c.real for c in values], fmt)
-        im = _float_field([c.imag for c in values], fmt)
-        if fmt == "json":
-            return [(key, (f'{{"re": {re[0]}, "im": {im[0]}}}', re[1] + im[1]))]
-        return [(f"{key}_re", re), (f"{key}_im", im)]
+    re = _float_field(values.real, fmt)
+    im = _float_field(values.imag, fmt)
+    if fmt == "json":
+        return [(key, (f'{{"re": {re[0]}, "im": {im[0]}}}', re[1] + im[1]))]
+    return [(f"{key}_re", re), (f"{key}_im", im)]
+
+
+def _cell_column(key, values: Sequence, fmt: str) -> list[tuple[str, tuple[str, list]]] | None:
+    """``%s`` fields fed the cells of ``_json_value`` or ``_csv_cell``."""
     if fmt == "json":
         return [(key, ("%s", [list(map(_json_value, values))]))]
     flat = [_flatten_row({key: value}) for value in values]
@@ -197,15 +242,15 @@ def _column(key, values: Sequence, fmt: str) -> list[tuple[str, tuple[str, list]
     return [(name, ("%s", [[_csv_cell(cell[name]) for cell in flat]])) for name in names]
 
 
-def _float_field(values: Sequence[float], fmt: str) -> tuple[str, list]:
-    """(spec, value columns) of a float column.
+def _float_field(values: np.ndarray, fmt: str) -> tuple[str, list]:
+    """(spec, value columns) of a float64 column.
 
     ``%.17g`` prints nan, inf and -inf as CSV writes them; JSON quotes them,
     so there a column holding one takes the ``_format_float`` cells.
     """
-    if fmt == "csv" or all(map(math.isfinite, values)):
-        return "%.17g", [values]
-    return "%s", [list(map(_format_float, values))]
+    if fmt == "csv" or np.isfinite(values).all():
+        return "%.17g", [values.tolist()]
+    return "%s", [list(map(_format_float, values.tolist()))]
 
 
 def render(report: Report, fmt: str) -> str:

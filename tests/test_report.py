@@ -155,14 +155,26 @@ def test_column_renderer_equals_per_cell_rendering(report):
     assert render_csv(report) == _csv_per_cell(report)
 
 
+def _mismatch(text, reference):
+    """None when the texts are equal, else both around their first difference.
+
+    A short message in place of pytest's diff, which takes minutes on
+    megabyte-long strings.
+    """
+    if text == reference:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(text, reference)) if x != y), min(map(len, (text, reference))))
+    return text[max(i - 40, 0):i + 40], reference[max(i - 40, 0):i + 40]
+
+
 def test_column_renderer_on_large_typed_columns(cfg):
     rng = np.random.default_rng(5)
     values = (rng.standard_normal(3000) * 10.0 ** rng.integers(-300, 300, 3000)).tolist()
     values[::125] = [math.inf, -math.inf, math.nan, -0.0] * 6
     rows = [{"m": m, "eigenvalue": x, "a": complex(x, -x)} for m, x in enumerate(values, 1)]
     report = Report("demo", cfg, {"N": len(rows)}, rows)
-    assert render_json(report) == _json_per_cell(report)
-    assert render_csv(report) == _csv_per_cell(report)
+    assert _mismatch(render_json(report), _json_per_cell(report)) is None
+    assert _mismatch(render_csv(report), _csv_per_cell(report)) is None
 
 
 # ------------------------------------------- determinism and parse-back
@@ -252,18 +264,6 @@ def test_nonfinite_value_in_the_last_row_only(cfg, last):
     assert render_csv(report).split("\n")[-2] == f"6,{name},1,{name}"
 
 
-def _mismatch(text, reference):
-    """None when the texts are equal, else both around their first difference.
-
-    A short message in place of pytest's diff, which takes minutes on
-    megabyte-long strings.
-    """
-    if text == reference:
-        return None
-    i = next((i for i, (x, y) in enumerate(zip(text, reference)) if x != y), min(map(len, (text, reference))))
-    return text[max(i - 40, 0):i + 40], reference[max(i - 40, 0):i + 40]
-
-
 def test_large_spectrum_shaped_report(cfg):
     from semifourier import eigenvalues
 
@@ -272,3 +272,100 @@ def test_large_spectrum_shaped_report(cfg):
                     [{"m": m, "eigenvalue": value} for m, value in enumerate(lam, start=1)])
     assert _mismatch(render_json(report), _json_per_cell(report)) is None
     assert _mismatch(render_csv(report), _csv_per_cell(report)) is None
+
+
+# ------------------------------------------------------ tables of columns
+# A table, a dict of equal-length numpy columns, renders exactly as the list
+# of its rows, with Python cells (.tolist()) or numpy scalar cells alike.
+
+_table_floats = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.floats(min_value=-1e-307, max_value=1e-307, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324]),
+)
+_TABLE_COLUMNS = {
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "float64": _table_floats,
+    "complex128": st.builds(complex, _table_floats, _table_floats),
+}
+
+
+@st.composite
+def tables(draw):
+    keys = draw(st.lists(st.sampled_from(KEYS + ["50%", "%d"]), min_size=1, max_size=4, unique=True))
+    size = draw(st.integers(1, 12))
+    table = {}
+    for key in keys:
+        dtype = draw(st.sampled_from(sorted(_TABLE_COLUMNS)))
+        cells = draw(st.lists(_TABLE_COLUMNS[dtype], min_size=size, max_size=size))
+        table[key] = np.array(cells, dtype=dtype)
+    return table
+
+
+def _table_rows(table, cells):
+    return [dict(zip(table, values)) for values in zip(*(cells(column) for column in table.values()))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables())
+def test_table_renders_as_its_rows(table):
+    cfg = SpectralConfig(0.0, math.pi, 1.0)
+    report = Report("demo", cfg, {"N": 1}, table)
+    for cells in (np.ndarray.tolist, list):  # Python scalars, numpy scalars
+        rows = Report("demo", cfg, {"N": 1}, _table_rows(table, cells))
+        assert render_json(report) == render_json(rows) == _json_per_cell(rows)
+        assert render_csv(report) == render_csv(rows) == _csv_per_cell(rows)
+
+
+def test_cli_shaped_table(cfg):
+    from semifourier import eigenvalues
+
+    lam = eigenvalues(cfg, 2000)
+    coeffs = lam * (1 - 2j) ** -1
+    coeffs[::7] = complex(-0.0, math.inf)
+    table = {"m": np.arange(1, lam.size + 1), "eigenvalue": lam, "a": coeffs}
+    as_table = Report("demo", cfg, {}, table)
+    as_rows = Report("demo", cfg, {}, _table_rows(table, np.ndarray.tolist))
+    for fmt in ("json", "csv"):
+        assert _mismatch(render(as_table, fmt), render(as_rows, fmt)) is None
+
+
+def test_narrow_integer_column_renders_as_int64(cfg):
+    m = np.array([-(2**31), -1, 0, 7, 2**31 - 1])
+    k = np.array([-128, -1, 0, 5, 127])
+    narrow = Report("demo", cfg, {}, {"m": m.astype(np.int32), "k": k.astype(np.int8)})
+    wide = Report("demo", cfg, {}, {"m": m, "k": k})
+    assert render_json(narrow) == render_json(wide)
+    assert render_csv(narrow) == render_csv(wide)
+
+
+@pytest.mark.parametrize("table", [
+    {"m": np.arange(0), "x": np.zeros(0), "z": np.zeros(0, dtype=complex)},
+    {},
+], ids=["zero-length", "no-columns"])
+def test_table_without_rows_renders_as_no_rows(cfg, table):
+    assert render_json(Report("demo", cfg, {}, table)) == render_json(Report("demo", cfg, {}, []))
+    assert render_csv(Report("demo", cfg, {}, table)) == render_csv(Report("demo", cfg, {}, [])) == "\n"
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"m": np.arange(3), "x": np.zeros(2)}, "differ in length"),
+    ({"m": np.arange(0), "x": np.zeros(1)}, "differ in length"),
+    ({"x": np.zeros((2, 2))}, "not a 1-D numpy array"),
+    ({"x": np.float64(1.0)}, "not a 1-D numpy array"),
+    ({"x": np.array(1.0)}, "not a 1-D numpy array"),
+    ({"x": [1.0, 2.0]}, "not a 1-D numpy array"),
+    ({"x": np.zeros(2, dtype=np.float32)}, "dtype float32"),
+    ({"x": np.zeros(2, dtype=np.uint64)}, "dtype uint64"),
+    ({"x": np.zeros(2, dtype=np.complex64)}, "dtype complex64"),
+    ({"x": np.zeros(2, dtype=bool)}, "dtype bool"),
+    ({"x": np.array(["a", "b"])}, "dtype <U1"),
+    ({"x": np.array([1.0, "b"], dtype=object)}, "dtype object"),
+    ({"x": np.zeros(0, dtype=np.float32)}, "dtype float32"),
+], ids=["lengths", "empty-and-one", "2-d", "numpy-scalar", "0-d", "list", "float32", "uint64",
+        "complex64", "bool", "str", "object", "empty-float32"])
+def test_malformed_table_is_rejected(cfg, table, message):
+    report = Report("demo", cfg, {}, table)
+    for fmt in ("json", "csv"):
+        with pytest.raises(ValueError, match=message):
+            render(report, fmt)
