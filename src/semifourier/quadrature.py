@@ -29,8 +29,14 @@ matrices of the orthonormality suite, ``l2_inner``, ``leftdef_inner``,
 ``operator_matrix``, direct ladder coefficients and the expansion errors of
 a handle, whose residual is its grid values minus the partial sum's.  A
 side passed as both fs and gs (a Gram matrix, a residual) is evaluated once
-per order.  Products are searched for a non-finite node only when a row sum
-is not finite.  Pointwise evaluation never reads the table, and neither does
+per order.  Each order is one ``np.einsum`` contraction over all pairs.  An
+entry does not depend on the other rows of the call, so it equals the same
+sum taken on its pair alone bit for bit (while each side is all real or all
+complex), and it lies within the rounding bound 2 gamma_(N+n+4) sum_j
+C(n, j) k**(n-j) sum_i w_i |f^(j)(x_i)| |g^(j)(x_i)| of any other summation
+order, such as an ``integrate`` per entry (N nodes, gamma_m = m u / (1 - m
+u)).  Products are searched for a non-finite node only when a sum is not
+finite.  Pointwise evaluation never reads the table, and neither does
 ``classical_coeffs``.
 """
 
@@ -289,15 +295,19 @@ def _ladder_matrix(fs: list, gs: list, n: int, cfg: SpectralConfig,
     fs and gs hold functions of j giving the j-th derivative on the rule's
     nodes (``_on_grid``, or a residual of two of them).  Entry (p, q) is
     sum_j C(n, j) k**(n-j) * integral f_p^(j) conj(g_q^(j)), accumulated in
-    ascending j; n = 0 is the L2 inner product.  Per order, each f row meets
-    the stacked conj(g) values in one row-wise sum, bit-equal to a
-    ``_weighted_sum`` per entry while the g side is all real or all complex
-    (callers pass a real basis or one function; a mixed side sums as complex).
+    ascending j; n = 0 is the L2 inner product.  Per order, the stacked f
+    values meet the stacked conj(g) values in one contraction (``_add_order``).
+    Each entry is summed on its own, so it is bit-equal to the 1 x 1 call on
+    its pair while each side is all real or all complex (callers pass a real
+    basis or one function; a mixed side sums as complex), and it is within
+    the rounding bound of the module docstring of an ``integrate`` per entry.
     When fs is gs (a Gram matrix, or a residual against itself) each order
     is evaluated once and its column values serve as the row values.
     """
     nodes, weights = composite_rule(cfg, spec)
     total = np.zeros((len(fs), len(gs)), dtype=complex)
+    if not total.size:  # no pair, nothing to stack
+        return total
     for j in range(n + 1):
         _add_order(total, fs, gs, j, math.comb(n, j) * cfg.k ** (n - j), nodes, weights)
     return total
@@ -305,19 +315,19 @@ def _ladder_matrix(fs: list, gs: list, n: int, cfg: SpectralConfig,
 
 def _add_order(total: np.ndarray, fs: list, gs: list, j: int, weight: float,
                nodes: np.ndarray, weights: np.ndarray) -> None:
-    """total[p] += weight * integral f_p^(j) conj(g_q^(j)) for every q, row by row.
+    """total[p, q] += weight * integral f_p^(j) conj(g_q^(j)), one contraction for all pairs.
 
-    A non-finite product makes its weighted row sum non-finite (the weights
-    are positive), so the products are searched for the offending node only
-    when a row sum is not finite.  The order's values are released on return.
+    Each side is stacked once, the g values before any f row; when fs is gs
+    one stack serves both.  ``np.einsum`` sums over the nodes for every
+    pair in its own loop, with no BLAS call, so no thread pool starts.  A
+    non-finite product makes its weighted sum non-finite (the weights are
+    positive), so the products are formed and searched for the offending
+    node, in (p, q, node) order, only when a sum is not finite.  The
+    order's values are released on return.
     """
-    columns = [g(j) for g in gs]
-    g_conj = np.conjugate(columns)
-    if fs is not gs:
-        columns = (f(j) for f in fs)  # the g values go before any f row is evaluated
-    for row, values in zip(total, columns):
-        products = values * g_conj
-        sums = np.sum(weights * products, axis=1)
-        if not np.isfinite(sums).all():
-            _require_finite(products, nodes)
-        row += weight * sums
+    g_values = np.array([g(j) for g in gs])
+    f_values = g_values if fs is gs else np.array([f(j) for f in fs])
+    sums = np.einsum("pn,qn->pq", f_values * weights, np.conjugate(g_values))
+    if not np.isfinite(sums).all():
+        _require_finite(f_values[:, None, :] * np.conjugate(g_values), nodes)
+    total += weight * sums

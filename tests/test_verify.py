@@ -41,3 +41,13 @@ def test_alternate_interval_still_passes(spec):
              "lower-bound", "diagonal-identity", "norm-ladder"]
     report = run_suites(names, cfg, spec, default_params())
     assert report.summary["fail"] == 0
+
+
+def test_polynomial_exactness_holds_far_from_the_origin(spec):
+    # b^(d+1) - a^(d+1) cancels here: it read 5.35e-11 against 1e-12
+    from semifourier import SpectralConfig
+
+    cfg = SpectralConfig(1e5, 100000.01, 1.0)
+    report = run_suites(["quadrature"], cfg, spec, default_params())
+    [row] = [row for row in report.rows if row["check"] == "polynomial-exactness"]
+    assert row["passed"] and row["observed"] < 1e-20
