@@ -15,10 +15,10 @@ which prints, for every file that moved, each moved row with its old and
 new cells and the largest change in each numeric column.  A change is
 measured relative to max(|old|, |new|, the largest |value| in its column,
 the largest |value| in its row), so a cell that is zero in exact arithmetic
-and moves by rounding is judged against the scale of the values around it.
-``--dry-run`` prints the same diff and writes nothing.  Never rewrite the
-files to make a failing test pass without that diff and a reason, and do
-not drop commands from the list.
+and moves by rounding is judged against the scale of the values around it;
+a verify row also shows its ``observed`` as a fraction of its tolerance.
+Never rewrite the files to make a failing test pass without that diff and
+a reason, and do not drop commands from the list.
 """
 
 from __future__ import annotations
@@ -328,13 +328,9 @@ def diff_report(old: str, new: str) -> list[str]:
     return lines
 
 
-def regolden(why: str, dry_run: bool) -> int:
+def regolden(why: str) -> int:
     print(f"regolden: {why}")
     moved = 0
-    stems = {stem(command).lower() for command in COMMANDS}
-    for path in sorted(HERE.glob("*.out*")):
-        if path.name.split(".out")[0].lower() not in stems:
-            print(f"{path.name}: no command in the list writes this file")
     for command in COMMANDS:
         code, new = run_command(command)
         if code != 0:
@@ -351,17 +347,15 @@ def regolden(why: str, dry_run: bool) -> int:
         else:
             for line in diff_report(old.decode("utf-8"), new.decode("utf-8")):
                 print(line)
-        if not dry_run:
-            if path.exists() and path != target:
-                path.unlink()
-            target.write_bytes(gzip.compress(new, mtime=0) if target.suffix == ".gz" else new)
-    print(f"{moved} of {len(COMMANDS)} reports {'differ' if dry_run else 'rewritten'}")
+        if path.exists() and path != target:
+            path.unlink()
+        target.write_bytes(gzip.compress(new, mtime=0) if target.suffix == ".gz" else new)
+    print(f"{moved} of {len(COMMANDS)} reports rewritten")
     return 0
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--why", required=True, help="the reason the reports move, printed with the diff")
-    parser.add_argument("--dry-run", action="store_true", help="print the diff, write nothing")
     args = parser.parse_args()
-    sys.exit(regolden(args.why, args.dry_run))
+    sys.exit(regolden(args.why))
