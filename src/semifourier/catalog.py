@@ -197,17 +197,16 @@ def resolve(name: str) -> CatalogEntry:
 
 
 def coeff_vector(entry: CatalogEntry | str, N: int, cfg: SpectralConfig,
-                 spec: QuadratureSpec = DEFAULT_QUADRATURE, *,
-                 prefer_closed_form: bool = True) -> CoeffVector:
+                 spec: QuadratureSpec = DEFAULT_QUADRATURE) -> CoeffVector:
     """Classical coefficient vector for a catalog entry.
 
-    Closed-form coefficients are used when available (and preferred), since
-    quadrature cannot resolve high mode indices on a fixed grid; otherwise
-    the pointwise handle is integrated.
+    Closed-form coefficients are used when available, since quadrature
+    cannot resolve high mode indices on a fixed grid; otherwise the
+    pointwise handle is integrated.
     """
     if isinstance(entry, str):
         entry = resolve(entry)
-    if entry.coeff_formula is not None and prefer_closed_form:
+    if entry.coeff_formula is not None:
         a, b = entry.coeff_formula(cfg, _check_truncation(N))
         return CoeffVector(cfg, a, b)
     f = entry.handle(cfg)

@@ -36,15 +36,17 @@ from .errors import (
     SemiFourierError,
     TruncationExceededError,
 )
-from .ladder import _check_ladder_index, leftdef_inner, mode_sequence, scaled_basis
+from .ladder import _check_ladder_index, _ladder_scales, leftdef_inner, mode_sequence
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _basis_side,
+    _function_side,
+    _grid_waves,
     _inner,
     _ladder_matrix,
     _on_grid,
     _require_finite,
-    _table_rows,
     composite_rule,
     l2_inner,
 )
@@ -181,8 +183,9 @@ def leftdef_coeffs(f, N: int, n: int, cfg: SpectralConfig,
     if method == "direct":
         N = _check_truncation(N)
         derivative_evaluator(f, n)
-        basis = [_on_grid(scaled_basis(mode, n, cfg), cfg, spec) for mode in mode_sequence(N)]
-        row = _ladder_matrix([_on_grid(f, cfg, spec)], basis, n, cfg, spec)[0]
+        modes = mode_sequence(N)
+        basis = _basis_side(modes, _ladder_scales(modes, n, cfg), cfg, spec)
+        row = _ladder_matrix(_function_side(f, cfg, spec), basis, n, cfg, spec)[0]
         return CoeffVector(cfg, row[0::2], row[1::2], ladder=n)
     raise SemiFourierError(f"unknown method {method!r}, expected 'rescale' or 'direct'")
 
@@ -261,13 +264,13 @@ def _expansion_errors(f, cv: CoeffVector, Ms, n: int | None,
     real, done, errors = True, 0, []
     for M in Ms:
         piece = _modes_between(cv, done, M)
-        rows = _table_rows(cfg, spec, piece._mode_indices())
+        rows = _grid_waves(cfg, spec, piece._mode_indices())
         real = real and piece.is_real
         residuals = []
         for j, acc in enumerate(sums):
             piece._combine(nodes.shape, rows, j, acc)
-            residuals.append(f_values[j] - (acc.real if real else acc))
-        side = [residuals.__getitem__]
+            residuals.append((f_values[j] - (acc.real if real else acc))[None])
+        side = residuals.__getitem__
         errors.append(tuple(_norm(_ladder_matrix(side, side, order, cfg, spec)[0, 0]) for order in orders))
         done = M
     return errors

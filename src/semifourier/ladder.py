@@ -55,6 +55,8 @@ from .errors import (
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _basis_side,
+    _function_side,
     _inner,
     _ladder_matrix,
     _on_grid,
@@ -68,7 +70,6 @@ from .spectral import (
     TrigPolynomial,
     _check_integer,
     apply_ell,
-    basis_polynomial,
     boundary_antisymmetry_defect,
     derivative_evaluator,
     eigenvalue,
@@ -155,13 +156,13 @@ def fundamental_relation_defects(modes, f, n: int, cfg: SpectralConfig,
     Both inner products are evaluated through the quadrature route even for
     trig polynomial arguments, so the defect genuinely measures the identity
     rather than an algebraic tautology.  f must supply derivatives up to n.
-    Each side is one ``_ladder_matrix`` column over all modes, and its rows
-    are independent, so entry i equals the one-mode defect of modes[i] bit
-    for bit.
+    The basis is one ``_basis_side`` over all modes, built once for both
+    ``_ladder_matrix`` columns, and its rows are independent, so entry i
+    equals the one-mode defect of modes[i] bit for bit.
     """
     n = _check_ladder_index(n)
-    z = [_on_grid(basis_polynomial(cfg, mode), cfg, spec) for mode in modes]
-    g = [_on_grid(f, cfg, spec)]
+    z = _basis_side(modes, [1.0] * len(modes), cfg, spec)
+    g = _function_side(f, cfg, spec)
     lhs = _ladder_matrix(z, g, n, cfg, spec)[:, 0].tolist()
     rhs = _ladder_matrix(z, g, 0, cfg, spec)[:, 0].tolist()
     # Python's complex abs, which differs from numpy's in the last bit
@@ -356,12 +357,19 @@ def operator_matrix(n: int, N: int, cfg: SpectralConfig,
     """
     n = _check_ladder_index(n)
     modes = mode_sequence(N)
+    if force_quadrature:
+        scales = _ladder_scales(modes, n, cfg)
+        shifted = [eigenvalue(cfg, mode.m) * scale for mode, scale in zip(modes, scales)]
+        return _ladder_matrix(_basis_side(modes, shifted, cfg, spec),
+                              _basis_side(modes, scales, cfg, spec), n, cfg, spec).real
     scaled = [scaled_basis(mode, n, cfg) for mode in modes]
     shifted = [apply_ell(z) for z in scaled]
-    if force_quadrature:
-        return _ladder_matrix([_on_grid(f, cfg, spec) for f in shifted],
-                              [_on_grid(g, cfg, spec) for g in scaled], n, cfg, spec).real
     return np.array([[leftdef_inner(f, g, n, cfg, spec).real for g in scaled] for f in shifted])
+
+
+def _ladder_scales(modes, n: int, cfg: SpectralConfig) -> list[float]:
+    """lambda_m**(-n/2) for each mode, the factors of ``scaled_basis``; 1.0 at n = 0."""
+    return [eigenvalue(cfg, mode.m) ** (-n / 2.0) for mode in modes]
 
 
 @dataclass(frozen=True)

@@ -6,45 +6,39 @@ nodes per panel integrates polynomials of degree <= 2q - 1 exactly on each
 panel.  The default budget (64 panels x 10 nodes) is sized for products of
 basis functions up to mode index around 40 together with smooth factors.
 
-Trig polynomials are evaluated on a rule's nodes from a basis table: rows
-holding cos(omega_m x) and sin(omega_m x) on the nodes, keyed by
-(a, b, panels, nodes_per_panel, m).  ``_table_rows`` looks up a polynomial's
-distinct modes at once; the rows it misses come from ``_basis_block`` over
-at most ``_BLOCK_MODES`` of them at a time and are stored as copies, so no
-row pins its block and memory follows the modes actually asked for, not the
-highest index.  The table holds at most ``_BASIS_CACHE_VALUES`` node values
-per wave over all rules and drops the least recently used rows first.
-``_on_grid`` fetches the rows once and hands them, for every derivative
-order, to ``TrigPolynomial._combine``, the same summation loop
-``TrigPolynomial.evaluate`` feeds from ``_basis_blocks``; so the values are
-bit-identical to ``evaluate`` and to a sum of ``basis_eval(cfg, mode, nodes,
-j)`` columns.  The table stays, rather than a fresh block walk per call,
-because verify evaluates the same few modes on the same rule many times.
+Basis functions reach a rule's nodes as sides: functions of the derivative
+order j that return one row of values per function.  ``_basis_side`` stacks
+scale * z_mode for a list of modes and real scales, with the waves of each
+distinct mode index taken from one ``_basis_blocks`` walk (``_grid_waves``)
+and each row bit-equal to ``_on_grid`` of the one-term polynomial.
+``_on_grid`` takes a trig polynomial's waves the same way, once per call,
+and sums them for every order with ``TrigPolynomial._combine``, the
+summation loop of ``TrigPolynomial.evaluate``; so its values are
+bit-identical to ``evaluate`` and to a sum of ``basis_eval(cfg, mode,
+nodes, j)`` columns.  Nothing is kept between calls.
 
 ``_ladder_matrix`` is the one place that forms the ladder sum
 sum_j C(n, j) k**(n-j) * integral f^(j) conj(g^(j)) on the nodes, one array
-over all pairs; n = 0 is the L2 inner product.  Every quadrature-route inner
-product goes through it and reads trig polynomials from the table: the Gram
-matrices of the orthonormality suite, ``l2_inner``, ``leftdef_inner``,
-``operator_matrix``, direct ladder coefficients and the expansion errors of
-a handle, whose residual is its grid values minus the partial sum's.  A
-side passed as both fs and gs (a Gram matrix, a residual) is evaluated once
-per order.  Each order is one ``np.einsum`` contraction over all pairs.  An
-entry does not depend on the other rows of the call, so it equals the same
-sum taken on its pair alone bit for bit (while each side is all real or all
-complex), and it lies within the rounding bound 2 gamma_(N+n+4) sum_j
-C(n, j) k**(n-j) sum_i w_i |f^(j)(x_i)| |g^(j)(x_i)| of any other summation
-order, such as an ``integrate`` per entry (N nodes, gamma_m = m u / (1 - m
-u)).  Products are searched for a non-finite node only when a sum is not
-finite.  Pointwise evaluation never reads the table, and neither does
-``classical_coeffs``.
+over all pairs of rows of two sides; n = 0 is the L2 inner product.  Every
+quadrature-route inner product goes through it: the Gram matrices of the
+orthonormality suite, ``l2_inner``, ``leftdef_inner`` (one function as a
+one-row side, ``_function_side``), ``operator_matrix``, direct ladder
+coefficients and the expansion errors of a handle, whose residual is its
+grid values minus the partial sum's.  A side passed as both fs and gs (a
+Gram matrix, a residual) is evaluated once per order.  Each order is one
+``np.einsum`` contraction over all pairs.  An entry does not depend on the
+other rows of the call, so it equals the same sum taken on its pair alone
+bit for bit (while each side is all real or all complex), and it lies
+within the rounding bound 2 gamma_(N+n+4) sum_j C(n, j) k**(n-j) sum_i w_i
+|f^(j)(x_i)| |g^(j)(x_i)| of any other summation order, such as an
+``integrate`` per entry (N nodes, gamma_m = m u / (1 - m u)).  Products are
+searched for a non-finite node only when a sum is not finite.  Pointwise
+evaluation and ``classical_coeffs`` take no side.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -57,11 +51,11 @@ from .errors import (
     SemiFourierError,
 )
 from .spectral import (
-    _BLOCK_MODES,
     SpectralConfig,
     TrigPolynomial,
-    _basis_block,
+    _basis_blocks,
     _check_integer,
+    _derivative_wave,
     derivative_evaluator,
     eigenvalue,
 )
@@ -125,71 +119,52 @@ def composite_rule(cfg: SpectralConfig, spec: QuadratureSpec = DEFAULT_QUADRATUR
     return _composite_rule(cfg.a, cfg.b, spec.panels, spec.nodes_per_panel)
 
 
-# Most node values kept per wave over all cached basis rows, least recently
-# used rows dropped first: 204 modes of the default 640-node rule, 2 MiB for
-# the cos and sin waves together.
-_BASIS_CACHE_VALUES = 1 << 17
-
-_basis_rows: OrderedDict[tuple, tuple[float, np.ndarray, np.ndarray]] = OrderedDict()
-_basis_rows_values = 0
-_basis_rows_lock = threading.Lock()
-
-
-def _basis_row(cfg: SpectralConfig, spec: QuadratureSpec, m: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """omega_m, cos(omega_m x) and sin(omega_m x) on the rule's nodes (read-only)."""
-    return _table_rows(cfg, spec, [m])[0]
-
-
-def _table_rows(cfg: SpectralConfig, spec: QuadratureSpec, ms) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """``_basis_row`` for each of the distinct mode indices ms, with one table lookup.
-
-    The rows missing from the table are computed by ``_basis_block`` over at
-    most ``_BLOCK_MODES`` of them at a time and stored as copies: a row kept
-    as a view would hold its whole block alive.
-    """
-    global _basis_rows_values
-    rule = (cfg.a, cfg.b, spec.panels, spec.nodes_per_panel)
-    rows = {}
-    with _basis_rows_lock:
-        for m in ms:
-            row = _basis_rows.get(rule + (m,))
-            if row is not None:
-                _basis_rows.move_to_end(rule + (m,))
-                rows[m] = row
-    missing = [m for m in ms if m not in rows]
-    if not missing:
-        return [rows[m] for m in ms]
+def _grid_waves(cfg: SpectralConfig, spec: QuadratureSpec, ms) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """omega_m, cos(omega_m x) and sin(omega_m x) on the rule's nodes for each m in ms, one block walk."""
     nodes, _ = composite_rule(cfg, spec)
-    for start in range(0, len(missing), _BLOCK_MODES):
-        chunk = missing[start:start + _BLOCK_MODES]
-        for m, omega, cos_psi, sin_psi in zip(chunk, *_basis_block(cfg, chunk, nodes)):
-            cos_psi, sin_psi = cos_psi.copy(), sin_psi.copy()
-            cos_psi.flags.writeable = False
-            sin_psi.flags.writeable = False
-            rows[m] = (omega, cos_psi, sin_psi)
-    with _basis_rows_lock:
-        for m in missing:
-            if rule + (m,) not in _basis_rows:
-                _basis_rows[rule + (m,)] = rows[m]
-                _basis_rows_values += nodes.size
-        while _basis_rows_values > _BASIS_CACHE_VALUES:
-            _, (_, dropped, _) = _basis_rows.popitem(last=False)
-            _basis_rows_values -= dropped.size
-    return [rows[m] for m in ms]
+    return [row for block in _basis_blocks(cfg, ms, nodes) for row in zip(*block)]
 
 
 def _on_grid(f, cfg: SpectralConfig, spec: QuadratureSpec) -> Callable[[int], np.ndarray]:
     """j -> values of the j-th derivative of f on the rule's nodes.
 
-    A trig polynomial on this interval fetches its table rows once and sums
+    A trig polynomial on this interval takes its waves once per call and sums
     them with ``TrigPolynomial._combine`` for each j; anything else is
     evaluated.
     """
     nodes, _ = composite_rule(cfg, spec)
     if isinstance(f, TrigPolynomial) and (f.config.a, f.config.b) == (cfg.a, cfg.b):
-        rows = _table_rows(cfg, spec, f._mode_indices())
+        rows = _grid_waves(cfg, spec, f._mode_indices())
         return lambda j: f._combine(nodes.shape, rows, j)
     return lambda j: _values_on(derivative_evaluator(f, j), nodes)
+
+
+def _function_side(f, cfg: SpectralConfig, spec: QuadratureSpec) -> Callable[[int], np.ndarray]:
+    """``_on_grid`` of f as a one-row side of ``_ladder_matrix``."""
+    grid = _on_grid(f, cfg, spec)
+    return lambda j: grid(j)[None]
+
+
+def _basis_side(modes, scales, cfg: SpectralConfig, spec: QuadratureSpec) -> Callable[[int], np.ndarray]:
+    """j -> the j-th derivative of scale * z_mode on the rule's nodes, one row per mode.
+
+    The waves of the distinct mode indices come from one ``_grid_waves``
+    walk.  A row is scale * ``_derivative_wave`` + 0.0, the bits of
+    ``_on_grid`` of the one-term polynomial, whose ``_combine`` adds the
+    term to a zero accumulator, so a -0.0 product reads +0.0.
+    """
+    nodes, _ = composite_rule(cfg, spec)
+    ms = list(dict.fromkeys(mode.m for mode in modes))
+    waves = dict(zip(ms, _grid_waves(cfg, spec, ms)))
+
+    def side(j: int) -> np.ndarray:
+        values = np.empty((len(modes), nodes.size))
+        for row, mode, scale in zip(values, modes, scales):
+            np.multiply(scale, _derivative_wave(cfg, mode.branch, *waves[mode.m], j), out=row)
+        values += 0.0
+        return values
+
+    return side
 
 
 def _values_on(g: Callable, nodes: np.ndarray) -> np.ndarray:
@@ -285,49 +260,53 @@ def _inner(f, g, n: int, cfg: SpectralConfig, spec: QuadratureSpec, force_quadra
                     coeff = eigenvalue(cfg, mode.m) ** n * coeff
                 total += coeff * other.conjugate()
         return total
-    return complex(_ladder_matrix([_on_grid(f, cfg, spec)], [_on_grid(g, cfg, spec)], n, cfg, spec)[0, 0])
+    fs, gs = _function_side(f, cfg, spec), _function_side(g, cfg, spec)
+    return complex(_ladder_matrix(fs, gs, n, cfg, spec)[0, 0])
 
 
-def _ladder_matrix(fs: list, gs: list, n: int, cfg: SpectralConfig,
-                   spec: QuadratureSpec) -> np.ndarray:
-    """(f_p, g_q)_n by quadrature for every pair, as a complex len(fs) x len(gs) array.
+def _ladder_matrix(fs: Callable[[int], np.ndarray], gs: Callable[[int], np.ndarray], n: int,
+                   cfg: SpectralConfig, spec: QuadratureSpec) -> np.ndarray:
+    """(f_p, g_q)_n by quadrature for every pair of rows, as a complex array.
 
-    fs and gs hold functions of j giving the j-th derivative on the rule's
-    nodes (``_on_grid``, or a residual of two of them).  Entry (p, q) is
-    sum_j C(n, j) k**(n-j) * integral f_p^(j) conj(g_q^(j)), accumulated in
-    ascending j; n = 0 is the L2 inner product.  Per order, the stacked f
-    values meet the stacked conj(g) values in one contraction (``_add_order``).
-    Each entry is summed on its own, so it is bit-equal to the 1 x 1 call on
-    its pair while each side is all real or all complex (callers pass a real
-    basis or one function; a mixed side sums as complex), and it is within
-    the rounding bound of the module docstring of an ``integrate`` per entry.
+    fs and gs are sides: functions of j giving the j-th derivatives of their
+    functions on the rule's nodes, one row each (``_basis_side``,
+    ``_function_side``, or a residual).  Entry (p, q) is sum_j C(n, j)
+    k**(n-j) * integral f_p^(j) conj(g_q^(j)), accumulated from zero in
+    ascending j; n = 0 is the L2 inner product.  Per order, the f rows meet
+    the conj(g) rows in one contraction (``_add_order``).  Each entry is
+    summed on its own, so it is bit-equal to the 1 x 1 call on its pair
+    while each side is all real or all complex (callers pass a real basis or
+    one function; a mixed side sums as complex), and it is within the
+    rounding bound of the module docstring of an ``integrate`` per entry.
     When fs is gs (a Gram matrix, or a residual against itself) each order
-    is evaluated once and its column values serve as the row values.
+    is evaluated once and serves as both sides.  A side with no rows gives
+    an empty matrix.
     """
     nodes, weights = composite_rule(cfg, spec)
-    total = np.zeros((len(fs), len(gs)), dtype=complex)
-    if not total.size:  # no pair, nothing to stack
-        return total
+    total = 0j
     for j in range(n + 1):
-        _add_order(total, fs, gs, j, math.comb(n, j) * cfg.k ** (n - j), nodes, weights)
+        total = _add_order(total, fs, gs, j, math.comb(n, j) * cfg.k ** (n - j), nodes, weights)
     return total
 
 
-def _add_order(total: np.ndarray, fs: list, gs: list, j: int, weight: float,
-               nodes: np.ndarray, weights: np.ndarray) -> None:
-    """total[p, q] += weight * integral f_p^(j) conj(g_q^(j)), one contraction for all pairs.
+def _add_order(total, fs: Callable[[int], np.ndarray], gs: Callable[[int], np.ndarray], j: int,
+               weight: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """total + weight * integral f_p^(j) conj(g_q^(j)), one contraction for all pairs.
 
-    Each side is stacked once, the g values before any f row; when fs is gs
-    one stack serves both.  ``np.einsum`` sums over the nodes for every
+    The g rows are evaluated and conjugated before the f rows are
+    evaluated, and only their conjugate is kept; when fs is gs one
+    evaluation serves both.  ``np.einsum`` sums over the nodes for every
     pair in its own loop, with no BLAS call, so no thread pool starts.  A
     non-finite product makes its weighted sum non-finite (the weights are
     positive), so the products are formed and searched for the offending
     node, in (p, q, node) order, only when a sum is not finite.  The
     order's values are released on return.
     """
-    g_values = np.array([g(j) for g in gs])
-    f_values = g_values if fs is gs else np.array([f(j) for f in fs])
-    sums = np.einsum("pn,qn->pq", f_values * weights, np.conjugate(g_values))
+    f_values = gs(j)  # the g values until fs is evaluated
+    g_conj = np.conjugate(f_values)
+    if fs is not gs:
+        f_values = fs(j)
+    sums = np.einsum("pn,qn->pq", f_values * weights, g_conj)
     if not np.isfinite(sums).all():
-        _require_finite(f_values[:, None, :] * np.conjugate(g_values), nodes)
-    total += weight * sums
+        _require_finite(f_values[:, None, :] * g_conj, nodes)
+    return total + weight * sums

@@ -41,12 +41,13 @@ arbitrary points walks ``_basis_blocks``, which yields blocks of at most
 ``_BLOCK_MODES`` modes, so its memory is bounded whatever the number of
 modes: ``TrigPolynomial.evaluate`` (which checks the order and the domain
 once per call), ``classical_coeffs`` on a handle and verify's basis-boundary
-suite.  ``TrigPolynomial._combine`` is the one summation loop: it takes the
-rows of the distinct modes in ascending order, from that walk or from the
-quadrature layer's basis table (see :mod:`semifourier.quadrature`), so both
-are bit-identical to ``basis_eval``; it adds into a given accumulator when a
-partial sum continues a lower one.  A point outside [a, b], NaN included,
-raises PointOutOfDomainError.  ``boundary_antisymmetry_defect`` evaluates
+suite.  The quadrature layer walks it on a rule's nodes and keeps the rows
+for the length of one call (see :mod:`semifourier.quadrature`).
+``TrigPolynomial._combine`` is the one summation loop: it takes the rows of
+the distinct modes in ascending order, so its values are bit-identical to
+``basis_eval``; it adds into a given accumulator when a partial sum
+continues a lower one.  A point outside [a, b], NaN included, raises
+PointOutOfDomainError.  ``boundary_antisymmetry_defect`` evaluates
 both endpoints at once.
 """
 
@@ -91,9 +92,8 @@ __all__ = [
 # nodes may overshoot an endpoint by a few ulps.
 _DOMAIN_SLACK = 1e-12
 
-# Modes per block of waves in ``_basis_blocks`` and in the fills of the
-# quadrature basis table; one block of hundreds of modes at many points
-# takes tens of MiBs.
+# Modes per block of waves in ``_basis_blocks``; one block of hundreds of
+# modes at many points takes tens of MiBs.
 _BLOCK_MODES = 16
 
 
@@ -225,16 +225,6 @@ def _sincospi(t) -> tuple[np.ndarray, np.ndarray]:
     cos *= 1.0 - 2.0 * flip
     cos *= off_half
     return sin, cos
-
-
-def _sinpi(t) -> np.ndarray:
-    """sin(pi * t) alone, the first wave of ``_sincospi``."""
-    return _sincospi(t)[0]
-
-
-def _cospi(t) -> np.ndarray:
-    """cos(pi * t) alone, the second wave of ``_sincospi``."""
-    return _sincospi(t)[1]
 
 
 def _check_domain(cfg: SpectralConfig, xs: np.ndarray) -> None:
@@ -409,13 +399,14 @@ class TrigPolynomial:
         """sum_mode coeff * deriv_order-th derivative of z_mode, summed in (m, branch) order.
 
         rows yields omega_m, cos(omega_m x) and sin(omega_m x) for each of
-        ``_mode_indices`` in turn: ``evaluate`` walks ``_basis_blocks`` at
-        arbitrary points, the quadrature layer reads its basis table on the
-        grid.  Both share this summation order, so equal rows give bit-equal
-        values.  The terms are added in place to acc, a complex array of
-        shape that starts at zero: a caller that passes the accumulator of
-        a sum of lower modes continues that sum term by term, as one sum
-        from zero would.  The result is real when every coefficient is.
+        ``_mode_indices`` in turn, from a walk of ``_basis_blocks``:
+        ``evaluate`` walks it at arbitrary points, the quadrature layer on a
+        rule's nodes.  Both share this summation order, so equal rows give
+        bit-equal values.  The terms are added in place to acc, a complex
+        array of shape that starts at zero: a caller that passes the
+        accumulator of a sum of lower modes continues that sum term by term,
+        as one sum from zero would.  The result is real when every
+        coefficient is.
         """
         if acc is None:
             acc = np.zeros(shape, dtype=complex)

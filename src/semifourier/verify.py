@@ -16,6 +16,7 @@ from . import catalog
 from .expansion import _expansion_errors, classical_coeffs, leftdef_coeffs, partial_sum
 from .ladder import (
     Verdict,
+    _ladder_scales,
     domain_indicator,
     fundamental_relation_defects,
     in_v_space,
@@ -24,10 +25,9 @@ from .ladder import (
     membership_classify,
     mode_sequence,
     operator_matrix,
-    scaled_basis,
     spectral_inner_r,
 )
-from .quadrature import QuadratureSpec, _ladder_matrix, _on_grid, integrate, l2_inner
+from .quadrature import QuadratureSpec, _basis_side, _ladder_matrix, integrate, l2_inner
 from .report import Report
 from .spectral import (
     Branch,
@@ -192,10 +192,9 @@ def suite_orthonormality(cfg, spec, params):
     modes = mode_sequence(params["modes"])
     rows = []
     for n in (0, *range(1, min(params["n_max"], 4) + 1)):
-        basis = [scaled_basis(md, n, cfg) if n else basis_polynomial(cfg, md) for md in modes]
-        grid = [_on_grid(z, cfg, spec) for z in basis]
-        gram = _ladder_matrix(grid, grid, n, cfg, spec)
-        worst = float(np.max(np.abs(gram - np.eye(len(basis)))))
+        basis = _basis_side(modes, _ladder_scales(modes, n, cfg), cfg, spec)
+        gram = _ladder_matrix(basis, basis, n, cfg, spec)
+        worst = float(np.max(np.abs(gram - np.eye(len(modes)))))
         check = f"ladder-gram-quadrature-n{n}" if n else "l2-gram-quadrature"
         rows.append(_row("orthonormality", check, worst, 1e-8))
     return rows

@@ -1,10 +1,11 @@
-"""The quadrature basis table against direct basis evaluation.
+"""Basis values on the quadrature nodes against direct basis evaluation.
 
-The table must reproduce ``basis_eval`` on the rule's nodes bit for bit, and
-the quadrature route of the inner products must lie within the rounding
-bound of the sum built from ``basis_eval`` values and ``integrate``; each
-entry of the ladder matrix equals the same matrix taken on its pair alone,
-bit for bit.  The batched checks of
+The waves on a rule's nodes must reproduce ``basis_eval`` bit for bit, each
+row of a stacked basis side must equal the one-term polynomial on the grid
+bit for bit, and the quadrature route of the inner products must lie within
+the rounding bound of the sum built from ``basis_eval`` values and
+``integrate``; each entry of the ladder matrix equals the same matrix taken
+on its pair alone, bit for bit.  The batched checks of
 ``verify`` (trig polynomial evaluation without per-term checks, derivatives
 taken in one pass, the fundamental relation over many modes at once) must
 equal their one-at-a-time references bit for bit.
@@ -14,7 +15,6 @@ import math
 import re
 import struct
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -82,8 +82,7 @@ def trig_polynomials(draw, cfg):
 @given(cfg=configs, spec=rules, M=st.integers(1, 64), j=st.integers(0, 6))
 def test_table_columns_equal_basis_eval(cfg, spec, M, j):
     nodes, _ = composite_rule(cfg, spec)
-    for m in range(1, M + 1):
-        omega, cos_psi, sin_psi = quadrature._basis_row(cfg, spec, m)
+    for m, (omega, cos_psi, sin_psi) in enumerate(quadrature._grid_waves(cfg, spec, range(1, M + 1)), 1):
         for branch in Branch:
             mode = Mode(m, branch)
             column = _derivative_wave(cfg, branch, omega, cos_psi, sin_psi, j)
@@ -177,6 +176,11 @@ def _pairwise_ladder(f_grids, g_grids, n, cfg, spec):
     return want
 
 
+def _stack(grids):
+    """The side of ``_ladder_matrix`` whose rows are the given one-function grids."""
+    return lambda j: np.array([grid(j) for grid in grids])
+
+
 def _poisoned(grid, order, index):
     """grid with NaN at node ``index`` of derivative ``order``."""
     def values(j):
@@ -203,7 +207,7 @@ def test_ladder_matrix_is_within_rounding_of_the_pairwise_sums(data, cfg, spec, 
         cols = [scaled_basis(mode, n, cfg) if n else basis_polynomial(cfg, mode) for mode in modes]
     f_grids = [quadrature._on_grid(f, cfg, spec) for f in rows]
     g_grids = [quadrature._on_grid(g, cfg, spec) for g in cols]
-    got = quadrature._ladder_matrix(f_grids, g_grids, n, cfg, spec)
+    got = quadrature._ladder_matrix(_stack(f_grids), _stack(g_grids), n, cfg, spec)
     assert isinstance(got, np.ndarray) and got.shape == (len(rows), len(cols))
     want = _pairwise_ladder(f_grids, g_grids, n, cfg, spec)
     for p, f in enumerate(f_grids):
@@ -222,7 +226,7 @@ def test_ladder_matrix_is_within_rounding_of_the_pairwise_sums(data, cfg, spec, 
     with pytest.raises(NonFiniteIntegrandError) as reference:
         _pairwise_ladder(f_grids, g_grids, n, cfg, spec)
     with pytest.raises(NonFiniteIntegrandError, match=re.escape(str(reference.value))):
-        quadrature._ladder_matrix(f_grids, g_grids, n, cfg, spec)
+        quadrature._ladder_matrix(_stack(f_grids), _stack(g_grids), n, cfg, spec)
 
 
 @settings(max_examples=40, deadline=None)
@@ -244,21 +248,75 @@ def test_ladder_matrix_entry_equals_the_call_on_its_pair(data, cfg, spec, n, com
         cols = [scaled_basis(mode, n, cfg) if n else basis_polynomial(cfg, mode) for mode in modes]
     f_grids = [quadrature._on_grid(f, cfg, spec) for f in rows]
     g_grids = [quadrature._on_grid(g, cfg, spec) for g in cols]
-    got = quadrature._ladder_matrix(f_grids, g_grids, n, cfg, spec)
-    gram = quadrature._ladder_matrix(f_grids, f_grids, n, cfg, spec)
+    f_side = _stack(f_grids)
+    got = quadrature._ladder_matrix(f_side, _stack(g_grids), n, cfg, spec)
+    gram = quadrature._ladder_matrix(f_side, f_side, n, cfg, spec)
     for p, f in enumerate(f_grids):
         for q, g in enumerate(g_grids):
-            assert _bits(got[p, q]) == _bits(quadrature._ladder_matrix([f], [g], n, cfg, spec)), (p, q)
+            assert _bits(got[p, q]) == _bits(quadrature._ladder_matrix(_stack([f]), _stack([g]), n, cfg, spec)), (p, q)
         for q, g in enumerate(f_grids):
-            assert _bits(gram[p, q]) == _bits(quadrature._ladder_matrix([f], [g], n, cfg, spec)), (p, q)
+            assert _bits(gram[p, q]) == _bits(quadrature._ladder_matrix(_stack([f]), _stack([g]), n, cfg, spec)), (p, q)
 
 
 def test_ladder_matrix_with_an_empty_side_is_empty():
     cfg = SpectralConfig(-0.5, 1.75, 1.5)
-    grid = quadrature._on_grid(basis_polynomial(cfg, Mode(2, Branch.SIN)), cfg, QuadratureSpec())
-    assert quadrature._ladder_matrix([], [grid], 2, cfg, QuadratureSpec()).shape == (0, 1)
-    assert quadrature._ladder_matrix([grid], [], 2, cfg, QuadratureSpec()).shape == (1, 0)
+    spec = QuadratureSpec()
+    empty = quadrature._basis_side([], [], cfg, spec)
+    grid = quadrature._function_side(basis_polynomial(cfg, Mode(2, Branch.SIN)), cfg, spec)
+    assert empty(3).shape == (0, composite_rule(cfg, spec)[0].size)
+    assert quadrature._ladder_matrix(empty, grid, 2, cfg, spec).shape == (0, 1)
+    assert quadrature._ladder_matrix(grid, empty, 2, cfg, spec).shape == (1, 0)
     assert fundamental_relation_defects([], basis_polynomial(cfg, Mode(2, Branch.SIN)), 1, cfg).size == 0
+
+
+# Offsets reach |a| of 1e6 against lengths down to 1e-3.
+wide_configs = st.builds(
+    lambda a, length, k: SpectralConfig(a, a + length, k),
+    st.one_of(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6)),
+    st.floats(1e-3, 20.0),
+    st.floats(1e-2, 1e2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cfg=wide_configs, spec=rules, j=st.integers(0, 6))
+def test_basis_side_rows_equal_the_one_term_polynomial_on_the_grid(data, cfg, spec, j):
+    # repeated mode indices on both branches, in any order, with any real scale
+    modes = data.draw(st.lists(st.builds(Mode, st.sampled_from([1, 2, 3, 17, 40, 10**6]), st.sampled_from(Branch)),
+                               max_size=10))
+    scales = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.sampled_from([1.0, -1.0])),
+                                min_size=len(modes), max_size=len(modes)))
+    values = quadrature._basis_side(modes, scales, cfg, spec)(j)
+    assert values.shape == (len(modes), composite_rule(cfg, spec)[0].size) and values.dtype == float
+    for p, (mode, scale) in enumerate(zip(modes, scales)):
+        want = quadrature._on_grid(scale * basis_polynomial(cfg, mode), cfg, spec)(j)
+        assert _bits(values[p]) == _bits(want), (mode, scale)
+
+
+def test_basis_side_walks_each_distinct_mode_once(monkeypatch):
+    calls = []
+    block = spectral._basis_block
+    monkeypatch.setattr(spectral, "_basis_block", lambda cfg, ms, xs: calls.append(list(ms)) or block(cfg, ms, xs))
+    cfg = SpectralConfig(-0.75, 0.5, 2.0)
+    spec = QuadratureSpec(panels=5, nodes_per_panel=7)
+    blocks = [list(range(1, 17)), list(range(17, 33)), list(range(33, 41))]
+    assert all(len(ms) <= spectral._BLOCK_MODES for ms in blocks)
+    handle = catalog.resolve("offset-cosine").handle(cfg)
+    for n in range(5):
+        calls.clear()
+        side = quadrature._basis_side(mode_sequence(40), ladder._ladder_scales(mode_sequence(40), n, cfg), cfg, spec)
+        for j in range(n + 1):
+            side(j)
+        assert calls == blocks, n
+        # repeated modes out of order: the distinct indices in first-seen order
+        calls.clear()
+        modes = [Mode(m, branch) for m in (5, 2, 5, 9, 2) for branch in Branch]
+        quadrature._basis_side(modes, [1.0] * len(modes), cfg, spec)(n)
+        assert calls == [[5, 2, 9]], n
+        if n:
+            calls.clear()
+            leftdef_coeffs(handle, 40, n, cfg, spec, method="direct")
+            assert calls == blocks, n
 
 
 def test_forced_operator_matrix_makes_no_per_entry_sums(monkeypatch):
@@ -269,30 +327,6 @@ def test_forced_operator_matrix_makes_no_per_entry_sums(monkeypatch):
     matrix = operator_matrix(2, 6, cfg, force_quadrature=True)
     assert matrix.shape == (12, 12) and matrix.dtype == float
     assert calls == []
-
-
-def test_rows_are_reused_read_only_and_bounded():
-    spec = QuadratureSpec(panels=3, nodes_per_panel=4)
-    cfg = SpectralConfig(0.25, 1.5, 1.0)
-    row = quadrature._basis_row(cfg, spec, 3)
-    assert quadrature._basis_row(SpectralConfig(0.25, 1.5, 7.0), spec, 3) is row
-    assert not row[1].flags.writeable and not row[2].flags.writeable
-    for m in range(1, quadrature._BASIS_CACHE_VALUES // 12 + 50):
-        quadrature._basis_row(cfg, spec, m)
-    kept = sum(cos_psi.size for _, cos_psi, _ in quadrature._basis_rows.values())
-    assert kept == quadrature._basis_rows_values <= quadrature._BASIS_CACHE_VALUES
-
-
-def test_direct_coefficients_compute_each_row_once(monkeypatch):
-    calls = []
-    block = quadrature._basis_block
-    monkeypatch.setattr(quadrature, "_basis_rows", OrderedDict())
-    monkeypatch.setattr(quadrature, "_basis_rows_values", 0)
-    monkeypatch.setattr(quadrature, "_basis_block", lambda cfg, ms, xs: calls.extend(ms) or block(cfg, ms, xs))
-    cfg = SpectralConfig(-0.75, 0.5, 2.0)
-    f = TrigPolynomial(cfg, {Mode(2, Branch.COS): 1.0, Mode(5, Branch.SIN): 0.5j})
-    leftdef_coeffs(f, 12, 2, cfg, QuadratureSpec(panels=5, nodes_per_panel=7), method="direct")
-    assert sorted(calls) == list(range(1, 13))
 
 
 def test_high_mode_needs_only_its_own_row():
@@ -321,7 +355,7 @@ def test_operator_matrix_equals_pairwise_inner_products():
 
 def test_operator_matrix_holds_one_derivative_order_at_a_time():
     cfg = SpectralConfig(-0.5, 1.75, 1.5)
-    operator_matrix(3, 8, cfg, force_quadrature=True)  # rows cached before measuring
+    operator_matrix(3, 8, cfg, force_quadrature=True)  # the rule cached before measuring
     tracemalloc.start()
     try:
         operator_matrix(3, 8, cfg, force_quadrature=True)
@@ -460,8 +494,7 @@ def _one_mode_wave(cfg, m, xs):
     """omega_m, cos(omega_m x), sin(omega_m x) as one mode was computed before blocks."""
     big_m = 2 * m - 1
     u = (xs - cfg.a) / (cfg.b - cfg.a)
-    base_cos = spectral._cospi(big_m * u)
-    base_sin = spectral._sinpi(big_m * u)
+    base_sin, base_cos = spectral._sincospi(big_m * u)
     omega = spectral.angular_frequency(cfg, m)
     phase = omega * cfg.a
     pc, ps = math.cos(phase), math.sin(phase)

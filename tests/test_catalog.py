@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semifourier import Branch, Mode, SemiFourierError, SpectralConfig, angular_frequency, eigenvalue
+from semifourier import (
+    Branch, Mode, SemiFourierError, SpectralConfig, angular_frequency, classical_coeffs, eigenvalue,
+)
 from semifourier import catalog
 
 
@@ -45,14 +47,16 @@ def test_synthetic_profile_values(cfg, spec):
 def test_synthetic_has_no_handle(cfg, spec):
     entry = catalog.resolve("synthetic:2.0")
     assert entry.handle(cfg) is None
-    with pytest.raises(SemiFourierError):
-        catalog.coeff_vector(entry, 8, cfg, spec, prefer_closed_form=False)
+    # an entry built by hand with neither a closed form nor a handle
+    bare = catalog.CatalogEntry(name="bare", known_ladder=None, handle=lambda cfg: None)
+    with pytest.raises(SemiFourierError, match="no pointwise handle"):
+        catalog.coeff_vector(bare, 8, cfg, spec)
 
 
 def test_sawtooth_closed_form_matches_quadrature(any_cfg, spec):
     # the closed form must hold on shifted and scaled intervals too
     exact = catalog.coeff_vector("sawtooth", 20, any_cfg, spec)
-    quad = catalog.coeff_vector("sawtooth", 20, any_cfg, spec, prefer_closed_form=False)
+    quad = classical_coeffs(catalog.resolve("sawtooth").handle(any_cfg), 20, any_cfg, spec)
     assert np.allclose(exact.cos_coeffs, quad.cos_coeffs, rtol=0, atol=1e-11)
     assert np.allclose(exact.sin_coeffs, quad.sin_coeffs, rtol=0, atol=1e-11)
 

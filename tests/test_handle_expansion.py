@@ -3,15 +3,13 @@
 ``spectral._sincospi`` must give the bits of the two one-wave reductions it
 replaced, kept verbatim below.  The ascending sweep of ``_expansion_errors``
 must equal one ``expansion_error`` per checkpoint bit for bit while adding
-each partial-sum term once per derivative order, and the basis table must
-fill a polynomial's missing rows in blocks and keep rows that own their data.
-Points outside [a, b], NaN among them, are rejected wherever they are
-evaluated.
+each partial-sum term once per derivative order, and a side passed to the
+ladder sum as both of its sides must be evaluated once per order.  Points
+outside [a, b], NaN among them, are rejected wherever they are evaluated.
 """
 
 import math
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -28,7 +26,6 @@ from semifourier import (
     SpectralConfig,
     TrigPolynomial,
     basis_eval,
-    basis_polynomial,
     boundary_antisymmetry_defect,
     catalog,
     classical_coeffs,
@@ -154,44 +151,19 @@ def test_sweep_on_a_trig_polynomial_takes_the_coefficient_route():
     assert got[2] == (0.0, 0.0)
 
 
-def _fresh_table(monkeypatch):
-    monkeypatch.setattr(quadrature, "_basis_rows", OrderedDict())
-    monkeypatch.setattr(quadrature, "_basis_rows_values", 0)
-
-
-def test_missing_rows_come_in_blocks_of_owned_rows(monkeypatch):
-    _fresh_table(monkeypatch)
-    calls = []
-    block = quadrature._basis_block
-    monkeypatch.setattr(quadrature, "_basis_block", lambda cfg, ms, xs: calls.append(list(ms)) or block(cfg, ms, xs))
-    cfg = SpectralConfig(-0.75, 0.5, 2.0)
-    spec = QuadratureSpec(panels=5, nodes_per_panel=7)
-    p = TrigPolynomial(cfg, {Mode(m, Branch.SIN if m % 3 else Branch.COS): 1.0 / m for m in range(1, 41)})
-    values = quadrature._on_grid(p, cfg, spec)(1)
-    assert calls == [list(range(1, 17)), list(range(17, 33)), list(range(33, 41))]
-    nodes, _ = quadrature.composite_rule(cfg, spec)
-    assert values.tobytes() == p.evaluate(nodes, 1).tobytes()
-    quadrature._on_grid(p, cfg, spec)
-    assert len(calls) == 3
-    rows = list(quadrature._basis_rows.values())
-    assert len(rows) == 40
-    assert all(wave.flags.owndata and not wave.flags.writeable for _, cos_psi, sin_psi in rows
-               for wave in (cos_psi, sin_psi))
-
-
 def test_gram_matrix_evaluates_each_order_once():
     cfg = SpectralConfig(-0.5, 1.75, 1.5)
     spec = QuadratureSpec(panels=9, nodes_per_panel=6)
     calls = []
+    basis = quadrature._basis_side(mode_sequence(3), [1.0] * 6, cfg, spec)
 
-    def counted(grid, p):
-        return lambda j: calls.append((p, j)) or grid(j)
+    def side(j):
+        calls.append(j)
+        return basis(j)
 
-    basis = [basis_polynomial(cfg, mode) for mode in mode_sequence(3)]
-    grid = [counted(quadrature._on_grid(z, cfg, spec), p) for p, z in enumerate(basis)]
-    gram = quadrature._ladder_matrix(grid, grid, 2, cfg, spec)
-    assert sorted(calls) == [(p, j) for p in range(6) for j in range(3)]
-    assert gram.tobytes() == quadrature._ladder_matrix(list(grid), grid, 2, cfg, spec).tobytes()
+    gram = quadrature._ladder_matrix(side, side, 2, cfg, spec)
+    assert calls == [0, 1, 2]
+    assert gram.tobytes() == quadrature._ladder_matrix(lambda j: basis(j), basis, 2, cfg, spec).tobytes()
 
 
 def test_finite_rows_skip_the_node_search(monkeypatch):
@@ -211,7 +183,7 @@ def test_opposite_infinities_raise_at_the_first_bad_node():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the row sum
         with pytest.raises(NonFiniteIntegrandError, match=repr(float(nodes[2]))):
-            quadrature._ladder_matrix([lambda j: values], [lambda j: np.ones(nodes.size)], 0, cfg, spec)
+            quadrature._ladder_matrix(lambda j: values[None], lambda j: np.ones((1, nodes.size)), 0, cfg, spec)
 
 
 def test_nan_points_are_outside_the_domain():
