@@ -3,7 +3,9 @@
 ``spectral._sincospi`` must give the bits of the two one-wave reductions it
 replaced, kept verbatim below.  The ascending sweep of ``_expansion_errors``
 must equal one ``expansion_error`` per checkpoint bit for bit while adding
-each partial-sum term once per derivative order, and a side passed to the
+each partial-sum term once per derivative order, a trig polynomial on the
+rule's nodes must take its waves in blocks from one walk and give the bits
+of ``TrigPolynomial.evaluate`` for every order, and a side passed to the
 ladder sum as both of its sides must be evaluated once per order.  Points
 outside [a, b], NaN among them, are rejected wherever they are evaluated.
 """
@@ -149,6 +151,22 @@ def test_sweep_on_a_trig_polynomial_takes_the_coefficient_route():
     got = _expansion_errors(p, cv, [1, 4, 8], 2)
     assert got[0] == (expansion_error(p, cv, 1), expansion_error(p, cv, 1, 2))
     assert got[2] == (0.0, 0.0)
+
+
+def test_trig_polynomial_on_grid_walks_its_modes_in_blocks(monkeypatch):
+    calls = []
+    block = spectral._basis_block
+    monkeypatch.setattr(spectral, "_basis_block", lambda cfg, ms, xs: calls.append(list(ms)) or block(cfg, ms, xs))
+    cfg = SpectralConfig(-0.75, 0.5, 2.0)
+    spec = QuadratureSpec(panels=5, nodes_per_panel=7)
+    p = TrigPolynomial(cfg, {Mode(m, Branch.SIN if m % 3 else Branch.COS): 1.0 / m for m in range(1, 41)})
+    grid = quadrature._on_grid(p, cfg, spec)
+    values = [grid(j) for j in range(3)]
+    # every order sums the waves of the one walk
+    assert calls == [list(range(1, 17)), list(range(17, 33)), list(range(33, 41))]
+    nodes, _ = quadrature.composite_rule(cfg, spec)
+    for j, got in enumerate(values):
+        assert got.tobytes() == p.evaluate(nodes, j).tobytes(), j
 
 
 def test_gram_matrix_evaluates_each_order_once():
