@@ -353,7 +353,7 @@ def operator_matrix(n: int, N: int, cfg: SpectralConfig,
     ordered as mode_sequence(N).  The exact coefficient route yields the
     diagonal of eigenvalues (each twice); ``force_quadrature=True`` rebuilds
     every entry from derivative integrals, which verification uses to check
-    diagonality independently.  Entries are filled in ascending index order.
+    diagonality independently.
     """
     n = _check_ladder_index(n)
     modes = mode_sequence(N)
@@ -362,9 +362,10 @@ def operator_matrix(n: int, N: int, cfg: SpectralConfig,
         shifted = [eigenvalue(cfg, mode.m) * scale for mode, scale in zip(modes, scales)]
         return _ladder_matrix(_basis_side(modes, shifted, cfg, spec),
                               _basis_side(modes, scales, cfg, spec), n, cfg, spec).real
+    # one-term polynomials of different modes share no mode, so every
+    # off-diagonal pair is exactly 0j
     scaled = [scaled_basis(mode, n, cfg) for mode in modes]
-    shifted = [apply_ell(z) for z in scaled]
-    return np.array([[leftdef_inner(f, g, n, cfg, spec).real for g in scaled] for f in shifted])
+    return np.diag([leftdef_inner(apply_ell(z), z, n, cfg, spec).real for z in scaled])
 
 
 def _ladder_scales(modes, n: int, cfg: SpectralConfig) -> list[float]:

@@ -102,7 +102,7 @@ def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@lru_cache(maxsize=32)  # a verify run uses about 15; every fresh interval adds one
+@lru_cache(maxsize=32)  # verify uses 5 per interval: its rule and the four probe rules
 def _composite_rule(a: float, b: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _reference_rule(order)
     h = (b - a) / panels

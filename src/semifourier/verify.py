@@ -36,7 +36,6 @@ from .spectral import (
     TrigPolynomial,
     _basis_blocks,
     _derivative_wave,
-    angular_frequency,
     apply_ell_power,
     basis_polynomial,
     eigenvalue,
@@ -114,31 +113,23 @@ def suite_quadrature(cfg, spec, params):
         worst = max(worst, abs(got - exact) / scale)
     rows.append(_row("quadrature", "polynomial-exactness", worst, 1e-12))
 
-    # halving the panel width cuts the error by >= 10x until the noise floor;
-    # the exponential weight keeps the probe off the rule's symmetry axes,
-    # where single-frequency errors alias to zero; the weight is e^(x - s)
-    # with s = max(b - 700, 0), so neither it nor the antiderivative overflows
-    omega = angular_frequency(cfg, 8)
-    probe = basis_polynomial(cfg, Mode(8, Branch.COS))
-    shift = max(cfg.b - 700.0, 0.0)
-
-    def antideriv(x):
-        return math.exp(x - shift) * (math.cos(omega * x) + omega * math.sin(omega * x))
-
-    exact = math.sqrt(2.0 / cfg.length) * (antideriv(cfg.b) - antideriv(cfg.a)) / (
-        1.0 + omega * omega
-    )
+    # halving the panel width cuts the error by >= 10x until the noise floor.
+    # The probe is u^d, d = 6, the first monomial the 3-node rule misses: its
+    # sixth derivative is constant, so the Gauss-Legendre error term is exact
+    # and each doubling divides the error by exactly 2^6 = 64, with no
+    # pre-asymptotic step.  Rounding model: a node x = fl(a + t) is off by
+    # about eps max(|a|, |b|), which moves the integral by that times
+    # integral d u^(d-1) / L dx = 1, i.e. (d + 1) eps max(|a|, |b|) / L
+    # relative to the exact L / (d + 1); evaluating u^d and summing add a few
+    # eps relative, hence L inside the max.  A ratio counts only when its
+    # later error clears 10x that model.
     errors = []
-    for panels in (16, 32, 64, 128):
-        low = QuadratureSpec(panels=panels, nodes_per_panel=3, abs_tol=spec.abs_tol)
-        val = integrate(lambda x: np.exp(x - shift) * np.asarray(probe(x)), cfg, low)
-        errors.append(abs(val - exact))
-    floor = 1e3 * np.finfo(float).eps * max(1.0, math.exp(cfg.b - shift))
-    ratios = [
-        before / after
-        for before, after in zip(errors, errors[1:])
-        if before > floor and after > floor
-    ]
+    for panels in (1, 2, 4, 8):
+        low = QuadratureSpec(panels=panels, nodes_per_panel=3)
+        val = integrate(lambda x: ((x - cfg.a) / length) ** 6, cfg, low)
+        errors.append(abs(val - length / 7) / (length / 7))
+    floor = 10 * 7 * np.finfo(float).eps * max(abs(cfg.a), abs(cfg.b), length) / length
+    ratios = [before / after for before, after in zip(errors, errors[1:]) if after > floor]
     observed = min(ratios) if ratios else math.inf
     rows.append(_row("quadrature", "panel-doubling-gain", observed, 10.0, observed >= 10.0))
 

@@ -97,6 +97,7 @@ def _reference_values(p: TrigPolynomial, j: int, nodes: np.ndarray) -> np.ndarra
 
 
 U = 2.0 ** -53
+ETA = 2.0 ** -1074  # the smallest subnormal
 
 
 def _gamma(m: int) -> float:
@@ -124,12 +125,28 @@ def _rounding_bound(f_values, g_values, n, cfg, spec):
     the two routes lie within twice that of each other.  (The n additions
     across orders are why the index is N + n + 4 and not N + 4.)
     f_values and g_values map j to the grid values of one side.
+
+    The relative model misses gradual underflow: a real product whose
+    result is subnormal may also be off by an absolute ETA / 2 (Higham,
+    section 2.1), ETA the smallest subnormal, which no 1 + theta factor
+    covers (a sum of subnormals is exact).  Each term takes at most six real
+    products, two for the weight and four for the complex product, and an
+    error in the first is scaled by at most m_i = max(1, w_i, |f^(j)(x_i)|,
+    |g^(j)(x_i)|) before the sum; the order's scaling C(n, j) k**(n-j)
+    takes two more.  Counting ETA per product for the later 1 + theta
+    factors, each route is within ETA sum_j (6 C(n, j) k**(n-j) sum_i m_i +
+    2) of exact in this way, and the bound adds twice that.  The term
+    matters only when values reach about 1e-308.
     """
     _, weights = composite_rule(cfg, spec)
-    total = sum(math.comb(n, j) * cfg.k ** (n - j)
-                * float(np.sum(weights * np.abs(f_values(j)) * np.abs(g_values(j))))
-                for j in range(n + 1))
-    return 2 * _gamma(weights.size + n + 4) * total
+    total = underflow = 0.0
+    for j in range(n + 1):
+        scale = math.comb(n, j) * cfg.k ** (n - j)
+        f_abs, g_abs = np.abs(f_values(j)), np.abs(g_values(j))
+        total += scale * float(np.sum(weights * f_abs * g_abs))
+        largest = np.maximum(np.maximum(weights, 1.0), np.maximum(f_abs, g_abs))
+        underflow += 6 * scale * float(np.sum(largest)) + 2
+    return 2 * _gamma(weights.size + n + 4) * total + 2 * ETA * underflow
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,6 +17,7 @@ from semifourier import (
     TrigPolynomial,
     TruncationMismatchError,
     Verdict,
+    apply_ell,
     apply_ell_power,
     basis_polynomial,
     classical_coeffs,
@@ -313,6 +314,19 @@ def test_operator_matrix_diagonal_frozen(cfg, spec):
     got = operator_matrix(1, 2, cfg, spec)
     expected = np.diag([2.0, 2.0, 10.0, 10.0])
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("a, b, k", [(0.0, math.pi, 1.0), (7.5, 10.3, 0.5), (-2.5, 0.75, 2.2)])
+def test_operator_matrix_diagonal_equals_every_pair(a, b, k, spec):
+    # the coefficient route evaluates only the diagonal; every pair gives the same bits
+    cfg = SpectralConfig(a, b, k)
+    for n in (1, 2, 3):
+        scaled = [scaled_basis(mode, n, cfg) for mode in mode_sequence(20)]
+        want = np.array([[leftdef_inner(apply_ell(f), g, n, cfg, spec).real for g in scaled]
+                         for f in scaled])
+        got = operator_matrix(n, 20, cfg, spec)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_operator_matrix_quadrature_route(cfg, spec):

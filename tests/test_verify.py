@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semifourier.verify import SUITES, default_params, run_suites
 
@@ -51,3 +55,84 @@ def test_polynomial_exactness_holds_far_from_the_origin(spec):
     report = run_suites(["quadrature"], cfg, spec, default_params())
     [row] = [row for row in report.rows if row["check"] == "polynomial-exactness"]
     assert row["passed"] and row["observed"] < 1e-20
+
+
+def _doubling_gain(a, b, k):
+    from semifourier import DEFAULT_QUADRATURE, SpectralConfig
+
+    report = run_suites(["quadrature"], SpectralConfig(a, b, k), DEFAULT_QUADRATURE, default_params())
+    [row] = [row for row in report.rows if row["check"] == "panel-doubling-gain"]
+    return row
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign=st.sampled_from([-1.0, 1.0]), magnitude=_log_uniform(1e-3, 1e6),
+       length=_log_uniform(1e-3, 1e2), k=st.floats(0.1, 10.0))
+def test_panel_doubling_gain_holds_on_every_admissible_interval(sign, magnitude, length, k):
+    # the oscillatory probe read NaN far from the origin and below 10 on short far intervals
+    a = sign * magnitude
+    row = _doubling_gain(a, a + length, k)
+    assert row["passed"], row
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(-3.0, 10.0), length=st.floats(2.0, 3.5), k=st.floats(0.1, 10.0))
+def test_panel_doubling_gain_is_two_to_the_sixth_on_the_benchmark_range(a, length, k):
+    # u^6 has a constant sixth derivative, so the 3-node rule's error falls by exactly 2^6
+    row = _doubling_gain(a, a + length, k)
+    assert abs(row["observed"] - 64.0) <= 1e-4, row
+
+
+@pytest.mark.parametrize("argv", [
+    # set-up operations of selfcheck seeds 21016 and 2205; the oscillatory probe read 9.44 and 4.91
+    ["verify", "--a", "-0.32722579445288513", "--b", "2.2576078385392067",
+     "--k", "2.7883893001338502", "--N", "6"],
+    ["verify", "--a", "7.305328834242488", "--b", "10.339285470188608",
+     "--k", "2.8997900844000446", "--N", "6"],
+])
+def test_selfcheck_setup_commands_pass(argv):
+    from semifourier import cli
+
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("a, b, k", [
+    (400.0, 400.001, 1.0),
+    (100.0, 100.001, 1.0),
+    (699.0, 699.001, 1.0),
+    (1e5, 1e5 + 0.01, 1.0),
+    (-2.752160368934597, -0.44714429371439346, 0.26864346046339227),
+])
+def test_panel_doubling_gain_passes_where_the_oscillatory_probe_failed(a, b, k):
+    row = _doubling_gain(a, b, k)
+    assert row["passed"] and abs(row["observed"] - 64.0) < 1.0, row
+
+
+@pytest.mark.parametrize("a, b, k", [(0.0, math.pi, 1.0), (7.5, 10.3, 0.5), (-2.5, 0.75, 2.2)])
+def test_panel_doubling_gain_catches_a_moved_node(a, b, k, monkeypatch):
+    # a 3-node rule with one node off by 1e-3 is no longer exact for low degrees,
+    # so its error falls by far less than 2^6 per doubling
+    from semifourier import quadrature
+
+    real = quadrature._reference_rule
+
+    def moved(order):
+        x, w = real(order)
+        if order == 3:
+            x = x.copy()
+            x[0] += 1e-3
+        return x, w
+
+    real.cache_clear()
+    quadrature._composite_rule.cache_clear()
+    monkeypatch.setattr(quadrature, "_reference_rule", moved)
+    try:
+        row = _doubling_gain(a, b, k)
+    finally:
+        real.cache_clear()
+        quadrature._composite_rule.cache_clear()
+    assert not row["passed"], row
