@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semifourier.verify import SUITES, default_params, run_suites
@@ -72,8 +72,12 @@ def _log_uniform(lo, hi):
 @settings(max_examples=300, deadline=None)
 @given(sign=st.sampled_from([-1.0, 1.0]), magnitude=_log_uniform(1e-3, 1e6),
        length=_log_uniform(1e-3, 1e2), k=st.floats(0.1, 10.0))
+# short far intervals on which the oscillatory probe read 0.46, 6.35, 0.32 and NaN
+@example(sign=1.0, magnitude=400.0, length=0.001, k=1.0)
+@example(sign=1.0, magnitude=100.0, length=0.001, k=1.0)
+@example(sign=1.0, magnitude=699.0, length=0.001, k=1.0)
+@example(sign=1.0, magnitude=1e5, length=0.00999999999476131, k=1.0)
 def test_panel_doubling_gain_holds_on_every_admissible_interval(sign, magnitude, length, k):
-    # the oscillatory probe read NaN far from the origin and below 10 on short far intervals
     a = sign * magnitude
     row = _doubling_gain(a, a + length, k)
     assert row["passed"], row
@@ -81,6 +85,8 @@ def test_panel_doubling_gain_holds_on_every_admissible_interval(sign, magnitude,
 
 @settings(max_examples=100, deadline=None)
 @given(a=st.floats(-3.0, 10.0), length=st.floats(2.0, 3.5), k=st.floats(0.1, 10.0))
+# the selfcheck config of seed 14012, on which the oscillatory probe read 9.66
+@example(a=-2.752160368934597, length=2.3050160752202036, k=0.26864346046339227)
 def test_panel_doubling_gain_is_two_to_the_sixth_on_the_benchmark_range(a, length, k):
     # u^6 has a constant sixth derivative, so the 3-node rule's error falls by exactly 2^6
     row = _doubling_gain(a, a + length, k)
@@ -98,18 +104,6 @@ def test_selfcheck_setup_commands_pass(argv):
     from semifourier import cli
 
     assert cli.main(argv) == 0
-
-
-@pytest.mark.parametrize("a, b, k", [
-    (400.0, 400.001, 1.0),
-    (100.0, 100.001, 1.0),
-    (699.0, 699.001, 1.0),
-    (1e5, 1e5 + 0.01, 1.0),
-    (-2.752160368934597, -0.44714429371439346, 0.26864346046339227),
-])
-def test_panel_doubling_gain_passes_where_the_oscillatory_probe_failed(a, b, k):
-    row = _doubling_gain(a, b, k)
-    assert row["passed"] and abs(row["observed"] - 64.0) < 1.0, row
 
 
 @pytest.mark.parametrize("a, b, k", [(0.0, math.pi, 1.0), (7.5, 10.3, 0.5), (-2.5, 0.75, 2.2)])
