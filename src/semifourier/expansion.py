@@ -13,8 +13,8 @@ many orders M in one ascending sweep: the partial sum of each derivative
 order is continued term by term from one M to the next, the handle is
 evaluated once per order, and the L2 and ladder errors read the same
 residual arrays; ``expansion_error`` is its one-M case.  Classical
-coefficients of a handle walk the basis in blocks of at most
-``spectral._BLOCK_MODES`` modes.
+coefficients of a handle, and direct ladder coefficients, walk the basis in
+blocks of at most ``spectral._BLOCK_MODES`` modes.
 
 A ``CoeffVector`` owns the coefficient side of the ladder: its eigenvalues
 lambda_1..lambda_N, its per-mode power |a_m|^2 + |b_m|^2 and the power sums
@@ -55,6 +55,7 @@ from .spectral import (
     Mode,
     SpectralConfig,
     TrigPolynomial,
+    _BLOCK_MODES,
     _basis_blocks,
     _check_integer,
     derivative_evaluator,
@@ -172,10 +173,13 @@ def leftdef_coeffs(f, N: int, n: int, cfg: SpectralConfig,
 
     method="rescale" multiplies classical coefficients by lambda_m**(n/2);
     method="direct" evaluates the defining inner products by quadrature,
-    which requires derivatives of f up to order n: one ladder sum against
-    all 2N scaled basis functions in ``mode_sequence`` order, so each
-    derivative of f is evaluated on the nodes once.  The two agree up to
-    quadrature error, which the verification suite checks.
+    which requires derivatives of f up to order n.  Each derivative of f is
+    evaluated on the nodes once; the scaled basis, in ``mode_sequence``
+    order, then meets them in one ladder sum per block of
+    ``spectral._BLOCK_MODES`` modes, so memory stays bounded at any N.  An
+    entry does not depend on the other rows of its sum, so the blocks give
+    the bits of one sum over all 2N basis functions.  The two methods agree
+    up to quadrature error, which the verification suite checks.
     """
     n = _check_ladder_index(n)
     if method == "rescale":
@@ -183,9 +187,15 @@ def leftdef_coeffs(f, N: int, n: int, cfg: SpectralConfig,
     if method == "direct":
         N = _check_truncation(N)
         derivative_evaluator(f, n)
+        f_side = _function_side(f, cfg, spec)
+        f_values = [f_side(j) for j in range(n + 1)]
         modes = mode_sequence(N)
-        basis = _basis_side(modes, _ladder_scales(modes, n, cfg), cfg, spec)
-        row = _ladder_matrix(_function_side(f, cfg, spec), basis, n, cfg, spec)[0]
+        rows = []
+        for start in range(0, len(modes), 2 * _BLOCK_MODES):
+            block = modes[start:start + 2 * _BLOCK_MODES]  # both branches of _BLOCK_MODES indices
+            basis = _basis_side(block, _ladder_scales(block, n, cfg), cfg, spec)
+            rows.append(_ladder_matrix(f_values.__getitem__, basis, n, cfg, spec)[0])
+        row = np.concatenate(rows)
         return CoeffVector(cfg, row[0::2], row[1::2], ladder=n)
     raise SemiFourierError(f"unknown method {method!r}, expected 'rescale' or 'direct'")
 

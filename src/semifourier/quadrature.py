@@ -15,7 +15,17 @@ and each row bit-equal to ``_on_grid`` of the one-term polynomial.
 and sums them for every order with ``TrigPolynomial._combine``, the
 summation loop of ``TrigPolynomial.evaluate``; so its values are
 bit-identical to ``evaluate`` and to a sum of ``basis_eval(cfg, mode,
-nodes, j)`` columns.  Nothing is kept between calls.
+nodes, j)`` columns.
+
+Outside a verify run nothing is kept between calls: a library call holds
+its waves only while it runs, so a direct ladder coefficient vector at
+large N or a fresh config per call leaves nothing behind.  ``verify``
+evaluates the same modes on the same rule in many suites, so
+``run_suites`` opens ``_wave_memo`` for the length of the run and every
+``_grid_waves`` call in it reads the rows of a mode index walked before on
+the same grid.  A row does not depend on the other modes of its block, so
+a memo row is the row a fresh walk gives, bit for bit; the rows are
+read-only.
 
 ``_ladder_matrix`` is the one place that forms the ladder sum
 sum_j C(n, j) k**(n-j) * integral f^(j) conj(g^(j)) on the nodes, one array
@@ -39,6 +49,8 @@ evaluation and ``classical_coeffs`` take no side.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -119,18 +131,46 @@ def composite_rule(cfg: SpectralConfig, spec: QuadratureSpec = DEFAULT_QUADRATUR
     return _composite_rule(cfg.a, cfg.b, spec.panels, spec.nodes_per_panel)
 
 
+# Inside ``_wave_memo``: grid (a, b, panels, nodes_per_panel) -> {m: grid waves of m}.
+_WAVE_MEMO: ContextVar[dict | None] = ContextVar("_WAVE_MEMO", default=None)
+
+
+@contextmanager
+def _wave_memo():
+    """Share the waves of every ``_grid_waves`` call made inside; all dropped on exit."""
+    token = _WAVE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _WAVE_MEMO.reset(token)
+
+
 def _grid_waves(cfg: SpectralConfig, spec: QuadratureSpec, ms) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """omega_m, cos(omega_m x) and sin(omega_m x) on the rule's nodes for each m in ms, one block walk."""
+    """omega_m, cos(omega_m x) and sin(omega_m x) on the rule's nodes for each m in ms.
+
+    The distinct indices not yet walked on this grid are walked once, in
+    first-seen order, through ``_basis_blocks``; the rows are read-only.
+    Inside ``_wave_memo`` they are kept for later calls on the same grid,
+    outside it for this call only.
+    """
+    memo = _WAVE_MEMO.get()
+    rows = {} if memo is None else memo.setdefault((cfg.a, cfg.b, spec.panels, spec.nodes_per_panel), {})
+    missing = [m for m in dict.fromkeys(ms) if m not in rows]
     nodes, _ = composite_rule(cfg, spec)
-    return [row for block in _basis_blocks(cfg, ms, nodes) for row in zip(*block)]
+    walked = (row for block in _basis_blocks(cfg, missing, nodes) for row in zip(*block))
+    for m, (omega, cos_row, sin_row) in zip(missing, walked):
+        cos_row.flags.writeable = False
+        sin_row.flags.writeable = False
+        rows[m] = omega, cos_row, sin_row
+    return [rows[m] for m in ms]
 
 
 def _on_grid(f, cfg: SpectralConfig, spec: QuadratureSpec) -> Callable[[int], np.ndarray]:
     """j -> values of the j-th derivative of f on the rule's nodes.
 
-    A trig polynomial on this interval takes its waves once per call and sums
-    them with ``TrigPolynomial._combine`` for each j; anything else is
-    evaluated.
+    A trig polynomial on this interval takes its waves from one
+    ``_grid_waves`` call and sums them with ``TrigPolynomial._combine`` for
+    each j; anything else is evaluated.
     """
     nodes, _ = composite_rule(cfg, spec)
     if isinstance(f, TrigPolynomial) and (f.config.a, f.config.b) == (cfg.a, cfg.b):
@@ -149,18 +189,18 @@ def _basis_side(modes, scales, cfg: SpectralConfig, spec: QuadratureSpec) -> Cal
     """j -> the j-th derivative of scale * z_mode on the rule's nodes, one row per mode.
 
     The waves of the distinct mode indices come from one ``_grid_waves``
-    walk.  A row is scale * ``_derivative_wave`` + 0.0, the bits of
-    ``_on_grid`` of the one-term polynomial, whose ``_combine`` adds the
-    term to a zero accumulator, so a -0.0 product reads +0.0.
+    call, which a verify run serves from its memo.  A row is scale *
+    ``_derivative_wave`` + 0.0, the bits of ``_on_grid`` of the one-term
+    polynomial, whose ``_combine`` adds the term to a zero accumulator, so a
+    -0.0 product reads +0.0.
     """
     nodes, _ = composite_rule(cfg, spec)
-    ms = list(dict.fromkeys(mode.m for mode in modes))
-    waves = dict(zip(ms, _grid_waves(cfg, spec, ms)))
+    waves = _grid_waves(cfg, spec, [mode.m for mode in modes])
 
     def side(j: int) -> np.ndarray:
         values = np.empty((len(modes), nodes.size))
-        for row, mode, scale in zip(values, modes, scales):
-            np.multiply(scale, _derivative_wave(cfg, mode.branch, *waves[mode.m], j), out=row)
+        for row, mode, scale, wave in zip(values, modes, scales, waves):
+            np.multiply(scale, _derivative_wave(cfg, mode.branch, *wave, j), out=row)
         values += 0.0
         return values
 

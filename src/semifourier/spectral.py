@@ -42,7 +42,8 @@ arbitrary points walks ``_basis_blocks``, which yields blocks of at most
 modes: ``TrigPolynomial.evaluate`` (which checks the order and the domain
 once per call), ``classical_coeffs`` on a handle and verify's basis-boundary
 suite.  The quadrature layer walks it on a rule's nodes and keeps the rows
-for the length of one call (see :mod:`semifourier.quadrature`).
+for the length of one call, or of one verify run (see
+:mod:`semifourier.quadrature`).
 ``TrigPolynomial._combine`` is the one summation loop: it takes the rows of
 the distinct modes in ascending order, so its values are bit-identical to
 ``basis_eval``; it adds into a given accumulator when a partial sum

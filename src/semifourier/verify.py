@@ -27,7 +27,7 @@ from .ladder import (
     operator_matrix,
     spectral_inner_r,
 )
-from .quadrature import QuadratureSpec, _basis_side, _ladder_matrix, integrate, l2_inner
+from .quadrature import QuadratureSpec, _basis_side, _ladder_matrix, _wave_memo, integrate, l2_inner
 from .report import Report
 from .spectral import (
     Branch,
@@ -442,10 +442,11 @@ def run_suites(names, cfg: SpectralConfig, spec: QuadratureSpec, params: dict | 
     if params:
         merged.update({k: v for k, v in params.items() if v is not None})
     rows: list[dict] = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-        rows.extend(SUITES[name](cfg, spec, merged))
+    with _wave_memo():  # the suites evaluate the same modes on the same rule
+        for name in names:
+            if name not in SUITES:
+                raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
+            rows.extend(SUITES[name](cfg, spec, merged))
     passed = sum(1 for r in rows if r["passed"])
     return Report(
         kind="verify",

@@ -615,6 +615,34 @@ def test_classical_coeffs_take_blocks_not_per_mode_basis_eval(monkeypatch):
     assert peak < 1.5 * 2**20  # one block of all 512 modes would take about 15 MiB
 
 
+def test_direct_ladder_coefficient_memory_is_bounded_by_the_mode_blocks():
+    cfg = SpectralConfig(0.0, math.pi, 1.0)
+    f = catalog.resolve("sawtooth").handle(cfg)
+    leftdef_coeffs(f, 1, 1, cfg, method="direct")  # the rule cached before measuring
+    tracemalloc.start()
+    try:
+        cv = leftdef_coeffs(f, 4000, 1, cfg, method="direct")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cv.size == 4000
+    assert peak < 4 * 2**20  # one side over all 8,000 basis functions took about 120 MiB
+
+
+@pytest.mark.parametrize("a, b, k", [(0.0, math.pi, 1.0), (7.5, 10.3, 0.5), (-2.5, 0.75, 2.2)])
+def test_direct_ladder_coefficients_equal_one_stacked_sum(a, b, k):
+    cfg, spec = SpectralConfig(a, b, k), QuadratureSpec()
+    modes = mode_sequence(40)  # three blocks of modes
+    for name in ("sawtooth", "offset-cosine"):
+        f = catalog.resolve(name).handle(cfg)
+        for n in (1, 2, 3):
+            basis = quadrature._basis_side(modes, ladder._ladder_scales(modes, n, cfg), cfg, spec)
+            row = quadrature._ladder_matrix(quadrature._function_side(f, cfg, spec), basis, n, cfg, spec)[0]
+            cv = leftdef_coeffs(f, 40, n, cfg, spec, method="direct")
+            assert cv.cos_coeffs.tobytes() == row[0::2].tobytes(), (name, n)
+            assert cv.sin_coeffs.tobytes() == row[1::2].tobytes(), (name, n)
+
+
 def test_evaluation_memory_is_bounded_by_the_mode_blocks():
     cfg = SpectralConfig(-3.25, 0.5, 1.5)
     terms = {Mode(m, branch): 1.0 / m for m in range(1, 257) for branch in Branch}
