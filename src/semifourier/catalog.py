@@ -57,25 +57,13 @@ class CatalogEntry:
     coeff_formula: Callable[[SpectralConfig, int], tuple[np.ndarray, np.ndarray]] | None = None
 
 
-def _shape_preserving(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    def wrapped(x):
-        xs = np.asarray(x, dtype=float)
-        out = np.asarray(fn(xs))
-        out = np.broadcast_to(out, xs.shape).copy() if out.shape != xs.shape else out
-        if np.ndim(x) == 0:
-            return float(out[()])
-        return out
-
-    return wrapped
-
-
 def _sawtooth_handle(cfg: SpectralConfig) -> FunctionHandle:
     center = (cfg.a + cfg.b) / 2.0
     derivs = [
-        _shape_preserving(lambda xs, c=center: xs - c),
-        _shape_preserving(lambda xs: np.ones_like(xs)),
+        lambda xs, c=center: np.subtract(xs, c),
+        np.ones_like,
     ]
-    derivs += [_shape_preserving(lambda xs: np.zeros_like(xs))] * (_HANDLE_DERIVS - 2)
+    derivs += [np.zeros_like] * (_HANDLE_DERIVS - 2)
     return FunctionHandle(tuple(derivs))
 
 
@@ -100,12 +88,12 @@ def _offset_cosine_handle(cfg: SpectralConfig) -> FunctionHandle:
 
         def fd(xs, c=center, d=d):
             # Leibniz rule on cos(x) * (x - c): only two terms survive
-            out = lead(xs) * (xs - c)
+            out = lead(xs) * np.subtract(xs, c)
             if trail is not None:
                 out = out + d * trail(xs)
             return out
 
-        return _shape_preserving(fd)
+        return fd
 
     return FunctionHandle(tuple(make(d) for d in range(_HANDLE_DERIVS)))
 

@@ -28,7 +28,6 @@ the same as rendering each row cell by cell.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import json
 import math
@@ -71,8 +70,6 @@ def _json_value(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, enum.Enum):
-        return json.dumps(str(value.value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -128,8 +125,6 @@ def _csv_cell(value) -> str:
         return value
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
-    if isinstance(value, enum.Enum):
-        return str(value.value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

@@ -369,10 +369,6 @@ class TrigPolynomial:
         return len(self._terms)
 
     @property
-    def max_mode_index(self) -> int:
-        return max((md.m for md in self._terms), default=0)
-
-    @property
     def is_real(self) -> bool:
         return all(c.imag == 0.0 for c in self._terms.values())
 
@@ -388,7 +384,7 @@ class TrigPolynomial:
         blocks = _basis_blocks(self.config, self._mode_indices(), xs)
         acc = self._combine(xs.shape, (row for block in blocks for row in zip(*block)), deriv_order)
         if np.ndim(x) == 0:
-            return acc[()] if acc.ndim == 0 else acc
+            return acc[()]
         return acc
 
     def _mode_indices(self) -> list[int]:

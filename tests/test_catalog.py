@@ -88,6 +88,29 @@ def test_offset_cosine_derivatives(cfg):
     assert f.deriv(2)(x) == pytest.approx(-math.cos(x) * (x - c) - 2.0 * math.sin(x), rel=1e-13)
 
 
+@pytest.mark.parametrize("a, b, k", [
+    (0.0, math.pi, 1.0), (7.5, 10.3, 0.5), (-2.5, 0.75, 2.2), (1e5, 1e5 + 0.01, 1.0),
+])
+@pytest.mark.parametrize("name", ["sawtooth", "offset-cosine"])
+def test_handles_agree_on_scalar_list_and_array_input(name, a, b, k):
+    cfg = SpectralConfig(a, b, k)
+    xs = np.linspace(a, b, 997)
+    f = catalog.resolve(name).handle(cfg)
+    for order in range(7):
+        fd = f.deriv(order)
+        on_array = fd(xs)
+        assert np.shape(on_array) == xs.shape
+        scalars = [fd(x) for x in xs.tolist()]
+        for value in scalars:
+            float(value)
+        # bit for bit: the same float64 pattern, so -0.0 differs from 0.0
+        assert np.array(scalars, dtype=float).tobytes() == on_array.tobytes()
+        assert np.array(fd(xs.tolist()), dtype=float).tobytes() == on_array.tobytes()
+        if name == "sawtooth":
+            exact = xs - (a + b) / 2.0 if order == 0 else np.full(xs.shape, float(order == 1))
+            assert on_array.tobytes() == exact.tobytes()
+
+
 def test_available_functions_lists_all_forms():
     names = catalog.available_functions()
     assert "sawtooth" in names and "offset-cosine" in names
