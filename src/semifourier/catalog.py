@@ -61,9 +61,9 @@ def _sawtooth_handle(cfg: SpectralConfig) -> FunctionHandle:
     center = (cfg.a + cfg.b) / 2.0
     derivs = [
         lambda xs, c=center: np.subtract(xs, c),
-        np.ones_like,
+        lambda xs: np.ones(np.shape(xs))[()],
     ]
-    derivs += [np.zeros_like] * (_HANDLE_DERIVS - 2)
+    derivs += [lambda xs: np.zeros(np.shape(xs))[()]] * (_HANDLE_DERIVS - 2)
     return FunctionHandle(tuple(derivs))
 
 

@@ -27,7 +27,7 @@ from . import catalog
 from .errors import SemiFourierError
 from .expansion import _expansion_errors, _rescale, leftdef_coeffs
 from .ladder import _check_ladder_index, leftdef_inner, spectral_inner_r
-from .quadrature import QuadratureSpec, l2_inner
+from .quadrature import QuadratureSpec, _norm, l2_inner
 from .report import Report, render
 from .spectral import SpectralConfig, eigenvalues
 from .spectral import eigenvalue  # noqa: F401  perfbench's tracer test patches cli.eigenvalue
@@ -41,10 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--a", type=float, default=0.0, help="left endpoint (default 0)")
     common.add_argument("--b", type=float, default=math.pi, help="right endpoint (default pi)")
     common.add_argument("--k", type=float, default=1.0, help="spectral shift (default 1)")
-    common.add_argument("--quad-panels", type=int, default=64, help="quadrature panels (default 64)")
-    common.add_argument("--quad-nodes", type=int, default=10, help="nodes per panel (default 10)")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     common.add_argument("--output", default=None, help="write the report to this path instead of stdout")
+    quad_flags = argparse.ArgumentParser(add_help=False)  # every subcommand but spectrum integrates
+    quad_flags.add_argument("--quad-panels", type=int, default=64, help="quadrature panels (default 64)")
+    quad_flags.add_argument("--quad-nodes", type=int, default=10, help="nodes per panel (default 10)")
 
     parser = argparse.ArgumentParser(
         prog="semifourier",
@@ -55,26 +56,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", parents=[common], help="eigenvalues of the first modes")
     p.add_argument("--N", "--modes", dest="trunc", type=int, default=8, help="number of modes")
 
-    p = sub.add_parser("coeffs", parents=[common], help="expansion coefficients")
+    p = sub.add_parser("coeffs", parents=[common, quad_flags], help="expansion coefficients")
     p.add_argument("--function", required=True, help="catalog name, e.g. sawtooth or mode:3:sin")
     p.add_argument("--N", "--modes", dest="trunc", type=int, default=8, help="truncation order")
     p.add_argument("--n", type=int, default=None, help="ladder index for rescaled coefficients")
     p.add_argument("--method", choices=("rescale", "direct"), default=None,
                    help="route for ladder coefficients (needs --n; default rescale)")
 
-    p = sub.add_parser("norms", parents=[common], help="norms by quadrature and by series")
+    p = sub.add_parser("norms", parents=[common, quad_flags], help="norms by quadrature and by series")
     p.add_argument("--function", required=True)
     p.add_argument("--N", "--modes", dest="trunc", type=int, default=200,
                    help="series truncation order")
     p.add_argument("--n", type=int, default=None, help="integer ladder index")
     p.add_argument("--r", type=float, default=None, help="positive real power (series route only)")
 
-    p = sub.add_parser("converge", parents=[common], help="expansion error vs partial sum order")
+    p = sub.add_parser("converge", parents=[common, quad_flags], help="expansion error vs partial sum order")
     p.add_argument("--function", required=True)
     p.add_argument("--N", "--modes", dest="trunc", type=int, default=32, help="largest order")
     p.add_argument("--n", type=int, default=None, help="measure the error in this ladder norm")
 
-    p = sub.add_parser("verify", parents=[common], help="run self-check suites")
+    p = sub.add_parser("verify", parents=[common, quad_flags], help="run self-check suites")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name (repeatable); default all. Available: "
                         + ", ".join(sorted(SUITES)))
@@ -153,19 +154,18 @@ def _cmd_norms(args) -> int:
     cv = catalog.coeff_vector(entry, args.trunc, cfg, spec)
     rows = []
     if args.r is not None:
-        value = math.sqrt(max(spectral_inner_r(cv, cv, args.r).real, 0.0))
+        value = _norm(spectral_inner_r(cv, cv, args.r))
         rows.append({"method": "coefficient-series", "r": args.r, "N": args.trunc, "value": value})
         params = {"function": args.function, "r": args.r, "N": args.trunc}
     else:
         n = args.n
         f = entry.handle(cfg)
         if f is not None:
-            sq = l2_inner(f, f, cfg, spec) if n is None else leftdef_inner(f, f, n, cfg, spec)
-            quad = math.sqrt(max(sq.real, 0.0))
+            quad = _norm(l2_inner(f, f, cfg, spec) if n is None else leftdef_inner(f, f, n, cfg, spec))
             rows.append({"method": "definition-quadrature", "n": 0 if n is None else n, "value": quad})
-        sq = cv.power_sum() if n is None else max(spectral_inner_r(cv, cv, n).real, 0.0)
+        series = _norm(cv.power_sum() if n is None else spectral_inner_r(cv, cv, n))
         rows.append({"method": "coefficient-series", "n": 0 if n is None else n,
-                     "N": args.trunc, "value": math.sqrt(sq)})
+                     "N": args.trunc, "value": series})
         params = {"function": args.function, "n": 0 if n is None else n, "N": args.trunc}
     _emit(Report("norms", cfg, params, rows), args)
     return 0
@@ -188,13 +188,8 @@ def _cmd_converge(args) -> int:
         _check_ladder_index(args.n)
     entry = catalog.resolve(args.function)
     cv = catalog.coeff_vector(entry, args.trunc, cfg, spec)
-    f = entry.handle(cfg)
     Ms = _checkpoints(args.trunc)
-    if f is not None:
-        errors = _expansion_errors(f, cv, Ms, args.n, spec)
-    else:  # coefficient-only entry: tail within the stored truncation
-        norms = (0,) if args.n is None else (0, args.n)
-        errors = [tuple(math.sqrt(cv.power_sum(r, start=M)) for r in norms) for M in Ms]
+    errors = _expansion_errors(entry.handle(cfg), cv, Ms, args.n, spec)
     table = {"M": np.array(Ms), **dict(zip(("l2_error", "ladder_error"), np.array(errors).T))}
     params = {"function": args.function, "N": args.trunc}
     if args.n is not None:

@@ -12,7 +12,9 @@ every other quadrature-route inner product.  ``_expansion_errors`` measures
 many orders M in one ascending sweep: the partial sum of each derivative
 order is continued term by term from one M to the next, the handle is
 evaluated once per order, and the L2 and ladder errors read the same
-residual arrays; ``expansion_error`` is its one-M case.  Classical
+residual arrays; ``expansion_error`` is its one-M case.  With f None, a
+function known only by its coefficients, the error is the stored tail
+beyond M, the power sum of modes M < m <= N in the same norm.  Classical
 coefficients of a handle, and direct ladder coefficients, walk the basis in
 blocks of at most ``spectral._BLOCK_MODES`` modes.
 
@@ -45,6 +47,7 @@ from .quadrature import (
     _grid_waves,
     _inner,
     _ladder_matrix,
+    _norm,
     _on_grid,
     _require_finite,
     composite_rule,
@@ -238,8 +241,11 @@ def expansion_error(f, cv: CoeffVector, M: int, n: int | None = None,
 
     Trig polynomial input is handled exactly in coefficient space; for a
     function handle the residual derivatives f^(j) - s_M^(j) are taken on
-    the quadrature grid and the defining integrals summed there.  This is
-    the one-checkpoint case of ``_expansion_errors``.
+    the quadrature grid and the defining integrals summed there.  f None
+    stands for a function known only by cv: the error is then the stored
+    tail, the square root of sum_{M < m <= N} lambda_m**r (|a_m|^2 +
+    |b_m|^2) with r = 0 for L2 and r = n for the ladder norm.  This is the
+    one-checkpoint case of ``_expansion_errors``.
     """
     return _expansion_errors(f, cv, [M], n, spec)[0][-1]
 
@@ -248,7 +254,8 @@ def _expansion_errors(f, cv: CoeffVector, Ms, n: int | None,
                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> list[tuple[float, ...]]:
     """For each M of the ascending Ms: the L2 norm of f - s_M, then its n-th ladder norm if n is given.
 
-    A trig polynomial is handled exactly in coefficient space.  For a
+    A trig polynomial is handled exactly in coefficient space, and f None
+    gives the stored tail of cv beyond M (``expansion_error``).  For a
     function handle one ascending sweep serves every M: each derivative
     order j keeps one grid accumulator of s_M^(j) and continues it with the
     terms of the modes the next M adds, so s_M is the sum from zero in
@@ -259,6 +266,8 @@ def _expansion_errors(f, cv: CoeffVector, Ms, n: int | None,
     """
     Ms = [_check_partial_sum_order(cv, M) for M in Ms]
     orders = (0,) if n is None else (0, _check_ladder_index(n))
+    if f is None:
+        return [tuple(math.sqrt(cv.power_sum(r, start=M)) for r in orders) for M in Ms]
     cfg = cv.config
     if isinstance(f, TrigPolynomial):
         errors = []
@@ -284,10 +293,6 @@ def _expansion_errors(f, cv: CoeffVector, Ms, n: int | None,
         errors.append(tuple(_norm(_ladder_matrix(side, side, order, cfg, spec)[0, 0]) for order in orders))
         done = M
     return errors
-
-
-def _norm(sq: complex) -> float:
-    return math.sqrt(max(sq.real, 0.0))
 
 
 def parseval_defect(f, cv: CoeffVector, n: int | None = None,

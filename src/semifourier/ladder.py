@@ -59,6 +59,7 @@ from .quadrature import (
     _function_side,
     _inner,
     _ladder_matrix,
+    _norm,
     _on_grid,
     _weighted_sum,
     l2_inner,
@@ -138,8 +139,7 @@ def leftdef_inner(f, g, n: int, cfg: SpectralConfig,
 def leftdef_norm(f, n: int, cfg: SpectralConfig,
                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Norm sqrt((f, f)_n); the imaginary part of the square is discarded."""
-    value = leftdef_inner(f, f, n, cfg, spec)
-    return math.sqrt(max(value.real, 0.0))
+    return _norm(leftdef_inner(f, f, n, cfg, spec))
 
 
 def scaled_basis(mode: Mode, n: int, cfg: SpectralConfig) -> TrigPolynomial:
@@ -399,7 +399,7 @@ def _boundary_defects(f, count: int, cfg: SpectralConfig,
     domain theorem the anti-periodic conditions of the n-th ladder space
     hold exactly when j0 >= n.
     """
-    limit = BOUNDARY_TOL * max(math.sqrt(max(l2_inner(f, f, cfg, spec).real, 0.0)), 1e-300)
+    limit = BOUNDARY_TOL * max(_norm(l2_inner(f, f, cfg, spec)), 1e-300)
     defects = tuple((j, boundary_antisymmetry_defect(f, cfg, j)) for j in range(count))
     j0 = next((j for j, d in defects
                if not (d <= limit or d <= limit + _endpoint_rounding(f, cfg, j + 1))), count)

@@ -35,15 +35,15 @@ orthonormality suite, ``l2_inner``, ``leftdef_inner`` (one function as a
 one-row side, ``_function_side``), ``operator_matrix``, direct ladder
 coefficients and the expansion errors of a handle, whose residual is its
 grid values minus the partial sum's.  A side passed as both fs and gs (a
-Gram matrix, a residual) is evaluated once per order.  Each order is one
-``np.einsum`` contraction over all pairs.  An entry does not depend on the
-other rows of the call, so it equals the same sum taken on its pair alone
-bit for bit (while each side is all real or all complex), and it lies
-within the rounding bound 2 gamma_(N+n+4) sum_j C(n, j) k**(n-j) sum_i w_i
-|f^(j)(x_i)| |g^(j)(x_i)| of any other summation order, such as an
-``integrate`` per entry (N nodes, gamma_m = m u / (1 - m u)).  Products are
-searched for a non-finite node only when a sum is not finite.  Pointwise
-evaluation and ``classical_coeffs`` take no side.
+Gram matrix, a residual, the one side of (f, f)) is evaluated once per
+order.  Each order is one ``np.einsum`` contraction over all pairs.  An
+entry does not depend on the other rows of the call, so it equals the same
+sum taken on its pair alone bit for bit (while each side is all real or
+all complex), and it lies within the rounding bound 2 gamma_(N+n+4) sum_j
+C(n, j) k**(n-j) sum_i w_i |f^(j)(x_i)| |g^(j)(x_i)| of any other
+summation order, such as an ``integrate`` per entry (N nodes, gamma_m = m u
+/ (1 - m u)).  Products are searched for a non-finite node only when a sum
+is not finite.  Pointwise evaluation and ``classical_coeffs`` take no side.
 """
 
 from __future__ import annotations
@@ -284,7 +284,8 @@ def _inner(f, g, n: int, cfg: SpectralConfig, spec: QuadratureSpec, force_quadra
 
     A pair of trig polynomials is summed as sum_m lambda_m**n f_m conj(g_m)
     over f's modes unless ``force_quadrature`` is set; anything else is
-    ``_ladder_matrix`` on the rule's nodes.
+    ``_ladder_matrix`` on the rule's nodes, where (f, f) passes one side
+    as both.
     """
     if isinstance(f, TrigPolynomial) and isinstance(g, TrigPolynomial) and not force_quadrature:
         for p in (f, g):
@@ -300,8 +301,14 @@ def _inner(f, g, n: int, cfg: SpectralConfig, spec: QuadratureSpec, force_quadra
                     coeff = eigenvalue(cfg, mode.m) ** n * coeff
                 total += coeff * other.conjugate()
         return total
-    fs, gs = _function_side(f, cfg, spec), _function_side(g, cfg, spec)
+    fs = _function_side(f, cfg, spec)
+    gs = fs if g is f else _function_side(g, cfg, spec)
     return complex(_ladder_matrix(fs, gs, n, cfg, spec)[0, 0])
+
+
+def _norm(sq: complex) -> float:
+    """sqrt of the real part of a squared norm, a negative rounding read as 0."""
+    return math.sqrt(max(sq.real, 0.0))
 
 
 def _ladder_matrix(fs: Callable[[int], np.ndarray], gs: Callable[[int], np.ndarray], n: int,

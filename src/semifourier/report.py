@@ -11,19 +11,21 @@ Rows are given as a list of dicts or as one table, a dict of equal-length
 the list of its rows would, and a table with no rows as ``rows=[]``.  Both
 are rendered by one path for both formats, a part at a time.  A table is
 one part.  In a list, consecutive rows with the same keys in the same order
-form a run, and each run is one part.  Each part is rendered by one ``%``
-operation: a row template, built once from the kinds of its columns,
-repeated once per row and filled from the part's cells in row-major order.
-An integer column or a column of Python ints takes ``%d``, a float64 column
-or a column of Python floats ``%.17g``, and a complex128 column or a column
-of Python complex numbers two ``%.17g`` fields, ``{"re": %.17g, "im":
-%.17g}`` in JSON.  Any other column, of strings, bools, None, numpy
-scalars, nested or mixed values, and in JSON a float column holding a
-non-finite value, takes ``%s`` fed the cells of ``_json_value``,
-``_format_float`` or ``_csv_cell``.  A ``%`` in a JSON key is doubled in
-the template.  Every row keeps its own key order, and the CSV header is the
-union of the flattened keys in the order they first appear.  The output is
-the same as rendering each row cell by cell.
+form a run, and each run is one part; CSV flattens each row first
+(``_flatten_row``), so there a run is rows with the same flattened names.
+Each part is rendered by one ``%`` operation: a row template, built once
+from the kinds of its columns, repeated once per row and filled from the
+part's cells in row-major order.  An integer column or a column of Python
+ints takes ``%d``, a float64 column or a column of Python floats
+``%.17g``, and a complex128 column, or in JSON a column of Python complex
+numbers, two ``%.17g`` fields, ``{"re": %.17g, "im": %.17g}`` in JSON.
+Any other column, of strings, bools, None, numpy scalars, nested or mixed
+values, and in JSON a float column holding a non-finite value, takes
+``%s`` fed the cells of ``_json_value``, ``_format_float`` or
+``_csv_cell``.  A ``%`` in a JSON key is doubled in the template.  Every
+row keeps its own key order, and the CSV header is the union of the
+flattened keys in the order they first appear.  The output is the same as
+rendering each row cell by cell.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def render_json(report: Report) -> str:
 def _flatten_row(row: dict) -> dict:
     flat: dict[str, object] = {}
     for key, value in row.items():
-        if isinstance(value, (complex, np.complexfloating)) and not isinstance(value, (float, int)):
+        if isinstance(value, (complex, np.complexfloating)):
             c = complex(value)
             flat[f"{key}_re"] = c.real
             flat[f"{key}_im"] = c.imag
@@ -128,12 +130,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.17g}"
+        return f"{float(value):.17g}"  # nan, inf and -inf as CSV writes them
     raise TypeError(f"cannot serialize {value!r} in CSV")
 
 
@@ -157,19 +154,18 @@ def _fill(template: str, sep: str, size: int, columns: list[list]) -> str:
 
 
 def _row_parts(rows: list[dict] | dict, fmt: str) -> list[tuple[int, dict]]:
-    """Template fields of the rows: a table is one part, a list one per run of rows with the same keys."""
+    """Template fields of the rows: a table is one part, a list one per run of rows with the same keys.
+
+    CSV groups a list by the flattened names of its rows (``_flatten_row``)
+    and renders the flattened cells.
+    """
     if isinstance(rows, dict):
         size = _table_size(rows)
         return [_part(size, rows, fmt)] if size else []
-    return [part for _, run in itertools.groupby(rows, key=tuple) for part in _run_parts(list(run), fmt)]
-
-
-def _run_parts(run: list[dict], fmt: str) -> list[tuple[int, dict]]:
-    """The part of a run, or one part per row when a CSV column cannot share one."""
-    part = _part(len(run), {key: [row[key] for row in run] for key in run[0]}, fmt)
-    if part is None:  # a CSV column flattens differently row by row
-        return [part for row in run for part in _run_parts([row], fmt)]
-    return [part]
+    if fmt == "csv":
+        rows = map(_flatten_row, rows)
+    runs = (list(run) for _, run in itertools.groupby(rows, key=tuple))
+    return [_part(len(run), {key: [row[key] for row in run] for key in run[0]}, fmt) for run in runs]
 
 
 def _table_size(table: dict) -> int:
@@ -186,35 +182,33 @@ def _table_size(table: dict) -> int:
     return sizes.pop() if sizes else 0
 
 
-def _part(size: int, columns: dict, fmt: str) -> tuple[int, dict] | None:
+def _part(size: int, columns: dict, fmt: str) -> tuple[int, dict]:
     """(row count, {name: (spec, value columns)}) of columns of size cells, names in key order."""
-    fields = [_column(key, values, fmt) for key, values in columns.items()]
-    if None in fields:
-        return None
     named: dict = {}
-    for column_fields in fields:
-        named.update(column_fields)  # a repeated name keeps its place and takes the last field
+    for key, values in columns.items():
+        named.update(_column(key, values, fmt))  # a repeated name keeps its place and takes the last field
     return size, named
 
 
-def _column(key, values: Sequence | np.ndarray, fmt: str) -> list[tuple[str, tuple[str, list]]] | None:
+def _column(key, values: Sequence | np.ndarray, fmt: str) -> list[tuple[str, tuple[str, list]]]:
     """(name, (spec, value columns)) fields of one column, its spec chosen once.
 
     spec is the column's part of the row template and takes one value from
     each value column per row.  JSON gives one field per column; CSV gives
-    one per flattened column, <key>_re and <key>_im for complex values.
-    A numpy column takes its field from its dtype; a list of exact Python
-    ints, floats or complex numbers takes the same field.  None when the
-    cells of a CSV column do not all flatten to the same names.
+    one per flattened column, <key>_re and <key>_im for a complex table
+    column.  A numpy column takes its field from its dtype; a list of exact
+    Python ints or floats, or in JSON complex numbers, takes the same field.
+    A CSV list arrives flattened, so a complex cell left in it is one
+    ``_csv_cell`` rejects.  Any other list takes ``%s`` fed its cells.
     """
     if not isinstance(values, np.ndarray):
         kinds = set(map(type, values))
         if kinds == {int}:
             return [(key, ("%d", [values]))]
-        if kinds == {float} or kinds == {complex}:
+        if kinds == {float} or (kinds == {complex} and fmt == "json"):
             values = np.array(values)
         else:
-            return _cell_column(key, values, fmt)
+            return [(key, ("%s", [list(map(_json_value if fmt == "json" else _csv_cell, values))]))]
     if values.dtype.kind == "i":
         return [(key, ("%d", [values.tolist()]))]
     if values.dtype.kind == "f":
@@ -224,17 +218,6 @@ def _column(key, values: Sequence | np.ndarray, fmt: str) -> list[tuple[str, tup
     if fmt == "json":
         return [(key, (f'{{"re": {re[0]}, "im": {im[0]}}}', re[1] + im[1]))]
     return [(f"{key}_re", re), (f"{key}_im", im)]
-
-
-def _cell_column(key, values: Sequence, fmt: str) -> list[tuple[str, tuple[str, list]]] | None:
-    """``%s`` fields fed the cells of ``_json_value`` or ``_csv_cell``."""
-    if fmt == "json":
-        return [(key, ("%s", [list(map(_json_value, values))]))]
-    flat = [_flatten_row({key: value}) for value in values]
-    names = list(flat[0])
-    if any(list(cell) != names for cell in flat):
-        return None
-    return [(name, ("%s", [[_csv_cell(cell[name]) for cell in flat]])) for name in names]
 
 
 def _float_field(values: np.ndarray, fmt: str) -> tuple[str, list]:

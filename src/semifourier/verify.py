@@ -231,12 +231,12 @@ def suite_rescale(cfg, spec, params):
 def suite_lower_bound(cfg, spec, params):
     rows = []
     fixtures = [
-        ("sawtooth", catalog.resolve("sawtooth").handle(cfg)),
-        ("offset-cosine", catalog.resolve("offset-cosine").handle(cfg)),
-        ("trig-fixture", _trig_fixture(cfg)),
+        catalog.resolve("sawtooth").handle(cfg),
+        catalog.resolve("offset-cosine").handle(cfg),
+        _trig_fixture(cfg),
     ]
     worst = math.inf
-    for _, f in fixtures:
+    for f in fixtures:
         for n in range(1, min(4, params["n_max"] + 1) + 1):
             worst = min(worst, lower_bound_margin(f, n, cfg, spec))
     rows.append(_row("lower-bound", "margin-nonnegative", worst, -1e-8, worst >= -1e-8))

@@ -9,6 +9,7 @@ from semifourier import (
     Branch, Mode, SemiFourierError, SpectralConfig, angular_frequency, classical_coeffs, eigenvalue,
 )
 from semifourier import catalog
+from semifourier.report import _format_float, _json_value
 
 
 def test_resolve_known_names():
@@ -106,6 +107,10 @@ def test_handles_agree_on_scalar_list_and_array_input(name, a, b, k):
         # bit for bit: the same float64 pattern, so -0.0 differs from 0.0
         assert np.array(scalars, dtype=float).tobytes() == on_array.tobytes()
         assert np.array(fd(xs.tolist()), dtype=float).tobytes() == on_array.tobytes()
+        # float64 values: a list of ints gives float64, a scalar a number a report renders
+        assert np.asarray(fd([0, 1, 2])).dtype == np.float64
+        assert not isinstance(scalars[0], np.ndarray)
+        assert _json_value(scalars[0]) == _format_float(float(scalars[0]))
         if name == "sawtooth":
             exact = xs - (a + b) / 2.0 if order == 0 else np.full(xs.shape, float(order == 1))
             assert on_array.tobytes() == exact.tobytes()

@@ -167,6 +167,18 @@ def test_verify_rejects_non_positive_modes(argv, capsys):
     assert "--N must be a positive integer" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--quad-panels", "--quad-nodes"])
+def test_spectrum_rejects_quadrature_flags(flag, capsys):
+    # spectrum integrates nothing, so a quadrature layout would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    for command in (["coeffs", "--function", "sawtooth"], ["norms", "--function", "sawtooth"],
+                    ["converge", "--function", "sawtooth"], ["verify"]):
+        assert build_parser().parse_args([*command, flag, "3"]) is not None
+
+
 def test_tol_option_is_gone(capsys):
     # the rule is fixed; no option claims a tolerance that nothing reads
     with pytest.raises(SystemExit) as exc:

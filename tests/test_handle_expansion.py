@@ -6,8 +6,10 @@ must equal one ``expansion_error`` per checkpoint bit for bit while adding
 each partial-sum term once per derivative order, a trig polynomial on the
 rule's nodes must take its waves in blocks from one walk and give the bits
 of ``TrigPolynomial.evaluate`` for every order, and a side passed to the
-ladder sum as both of its sides must be evaluated once per order.  Points
-outside [a, b], NaN among them, are rejected wherever they are evaluated.
+ladder sum as both of its sides, (f, f) among them, must be evaluated once
+per order.  With no handle the errors are the stored coefficient tail.
+Points outside [a, b], NaN among them, are rejected wherever they are
+evaluated.
 """
 
 import math
@@ -32,6 +34,8 @@ from semifourier import (
     catalog,
     classical_coeffs,
     expansion_error,
+    l2_inner,
+    leftdef_inner,
     mode_sequence,
     operator_matrix,
     quadrature,
@@ -182,6 +186,36 @@ def test_gram_matrix_evaluates_each_order_once():
     gram = quadrature._ladder_matrix(side, side, 2, cfg, spec)
     assert calls == [0, 1, 2]
     assert gram.tobytes() == quadrature._ladder_matrix(lambda j: basis(j), basis, 2, cfg, spec).tobytes()
+
+
+def test_self_inner_product_evaluates_each_order_once():
+    cfg = SpectralConfig(-0.5, 1.75, 1.5)
+    g = catalog.resolve("offset-cosine").handle(cfg)
+    calls = []
+
+    def counted(j):
+        return lambda xs: calls.append(j) or g.deriv(j)(xs)
+
+    h = FunctionHandle(tuple(counted(j) for j in range(4)))
+    twin = FunctionHandle(g.derivatives)  # equal to g, but a second side
+    # one side serves both, with the bits of two equal sides
+    assert leftdef_inner(h, h, 3, cfg) == leftdef_inner(g, twin, 3, cfg)
+    assert sorted(calls) == [0, 1, 2, 3]
+    calls.clear()
+    assert l2_inner(h, h, cfg) == l2_inner(g, twin, cfg)
+    assert calls == [0]
+
+
+def test_coefficient_only_entry_errors_are_the_stored_tail(cfg):
+    cv = catalog.coeff_vector("synthetic:3.5", 64, cfg)
+    Ms = _checkpoints(64)
+    got = _expansion_errors(None, cv, Ms, 2)
+    lam = cv.eigenvalues
+    for M, errors in zip(Ms, got):
+        tail = cv.power[M:]
+        assert errors == (math.sqrt(float(np.sum(tail))), math.sqrt(float(np.sum(lam[M:] ** 2 * tail)))), M
+    assert _expansion_errors(None, cv, Ms, None) == [e[:1] for e in got]
+    assert expansion_error(None, cv, 4, 2) == got[2][1]
 
 
 def test_finite_rows_skip_the_node_search(monkeypatch):

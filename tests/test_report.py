@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semifourier import SpectralConfig
@@ -148,8 +148,16 @@ def reports(draw, ragged: bool):
     return Report("demo", cfg, {"N": len(rows)}, rows)
 
 
+def _rows_report(*rows):
+    return Report("demo", SpectralConfig(0.0, math.pi, 1.0), {"N": len(rows)}, list(rows))
+
+
 @settings(max_examples=300, deadline=None)
 @given(report=st.one_of(reports(ragged=False), reports(ragged=True)))
+# one key whose CSV names change from row to row: float, then complex, then float
+@example(report=_rows_report({"m": 1, "a": 0.5}, {"m": 2, "a": 1.5 - 2j}, {"m": 3, "a": -0.0}))
+# one mixed column of None and the three non-finite floats
+@example(report=_rows_report(*({"m": m, "a": x} for m, x in enumerate([None, math.nan, math.inf, -math.inf, 1.0]))))
 def test_column_renderer_equals_per_cell_rendering(report):
     assert render_json(report) == _json_per_cell(report)
     assert render_csv(report) == _csv_per_cell(report)
