@@ -14,7 +14,10 @@ Catalog names understood by the command line and the verification suites:
 Entries carry closed-form coefficients where available, as a formula that
 returns the cosine and sine coefficient arrays of modes 1..N at once.
 Coefficient vectors built from the closed form stay accurate at mode indices
-far beyond what the fixed quadrature budget can resolve.
+far beyond what the fixed quadrature budget can resolve.  The closed forms and
+handles take the basis conventions from :mod:`semifourier.spectral`: the
+sawtooth its frequencies, phase and sqrt(2/(b-a)), the offset-cosine handle
+the derivative cycle of the cosine.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from .spectral import (
     Mode,
     SpectralConfig,
     TrigPolynomial,
+    _CYCLE,
+    _normalization,
+    _phase,
     angular_frequencies,
     basis_polynomial,
     eigenvalues,
@@ -70,13 +76,14 @@ def _sawtooth_handle(cfg: SpectralConfig) -> FunctionHandle:
 def _sawtooth_coeffs(cfg: SpectralConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
     # integral of (x - (a+b)/2) against the normalized basis in closed form
     omega = angular_frequencies(cfg, N)
-    scale = -2.0 * math.sqrt(2.0 / cfg.length) / (omega * omega)
-    phase = omega * cfg.a
-    return scale * np.cos(phase), scale * np.sin(phase)
+    scale = -2.0 * _normalization(cfg) / (omega * omega)
+    # scaled in place: the phase arrays are fresh, and a second pair costs page faults at large N
+    return tuple(np.multiply(wave, scale, out=wave) for wave in _phase(cfg, omega))
 
 
 def _cos_cycle(r: int) -> Callable[[np.ndarray], np.ndarray]:
-    return (np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t), np.sin)[r % 4]
+    wave, sign = _CYCLE[r % 4]
+    return lambda t: sign * (np.sin(t) if wave is Branch.SIN else np.cos(t))
 
 
 def _offset_cosine_handle(cfg: SpectralConfig) -> FunctionHandle:
@@ -158,7 +165,7 @@ def resolve(name: str) -> CatalogEntry:
             raise SemiFourierError(f"mode index must be >= 1, got {m}")
         if parts[2] not in ("cos", "sin"):
             raise SemiFourierError(f"branch must be cos or sin, got {parts[2]!r}")
-        branch = Branch.COS if parts[2] == "cos" else Branch.SIN
+        branch = Branch(parts[2])
         return CatalogEntry(
             name=name,
             known_ladder=None,

@@ -149,6 +149,8 @@ def _cmd_norms(args) -> int:
     if args.n is not None and args.r is not None:
         raise SemiFourierError("choose either --n or --r, not both")
     if args.n is not None:
+        # before the coefficient vector is built; spectral_inner_r would
+        # otherwise report --n 0 of a coefficient-only function as a power error
         _check_ladder_index(args.n)
     entry = catalog.resolve(args.function)
     cv = catalog.coeff_vector(entry, args.trunc, cfg, spec)
@@ -185,6 +187,7 @@ def _cmd_converge(args) -> int:
     cfg = _config(args)
     spec = _quad_spec(args)
     if args.n is not None:
+        # before the function is resolved and its coefficient vector built
         _check_ladder_index(args.n)
     entry = catalog.resolve(args.function)
     cv = catalog.coeff_vector(entry, args.trunc, cfg, spec)

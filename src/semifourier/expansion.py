@@ -61,6 +61,7 @@ from .spectral import (
     _BLOCK_MODES,
     _basis_blocks,
     _check_integer,
+    _normalization,
     derivative_evaluator,
     eigenvalues,
 )
@@ -154,15 +155,14 @@ def classical_coeffs(f, N: int, cfg: SpectralConfig,
     if isinstance(f, TrigPolynomial):
         if f.config != cfg:
             raise InvalidConfigError("trig polynomial config does not match requested config")
-        a = [f.coefficient(Mode(m, Branch.COS)) for m in range(1, N + 1)]
-        b = [f.coefficient(Mode(m, Branch.SIN)) for m in range(1, N + 1)]
+        a, b = ([f.coefficient(Mode(m, branch)) for m in range(1, N + 1)] for branch in Branch)
         return CoeffVector(cfg, np.array(a, dtype=complex), np.array(b, dtype=complex))
 
     nodes, weights = composite_rule(cfg, spec)
     values = _on_grid(f, cfg, spec)(0)
     _require_finite(values, nodes)
     wf = weights * values
-    scale = math.sqrt(2.0 / (cfg.b - cfg.a))
+    scale = _normalization(cfg)
     sums = [(np.sum(wf * (scale * cos_psi), axis=1), np.sum(wf * (scale * sin_psi), axis=1))
             for _, cos_psi, sin_psi in _basis_blocks(cfg, range(1, N + 1), nodes)]
     a, b = (np.concatenate(branch) for branch in zip(*sums))

@@ -145,7 +145,7 @@ def leftdef_norm(f, n: int, cfg: SpectralConfig,
 def scaled_basis(mode: Mode, n: int, cfg: SpectralConfig) -> TrigPolynomial:
     """lambda_m**(-n/2) * z_mode, a unit vector for the n-th ladder inner product."""
     n = _check_ladder_index(n)
-    factor = eigenvalue(cfg, mode.m) ** (-n / 2.0)
+    [factor] = _ladder_scales([mode], n, cfg)
     return TrigPolynomial(cfg, {mode: factor})
 
 
@@ -304,27 +304,20 @@ def membership_classify(cf, n_max: int, f=None,
     verdicts: dict[int, Verdict] = {}
     for n in range(1, n_max + 1):
         if n > j0:
-            verdicts[n] = Verdict.NON_MEMBER
-            continue
-        if math.isinf(critical_r):
-            verdicts[n] = Verdict.MEMBER
-            continue
-        if abs(n - critical_r) <= INCONCLUSIVE_BAND:
-            verdicts[n] = Verdict.INCONCLUSIVE
-            continue
-        if n > critical_r:
-            verdicts[n] = Verdict.NON_MEMBER
-            continue
-        full = cf.power_sum(n)
-        half = cf.power_sum(n, stop=N // 2)
-        plateau = full <= 0.0 or (full - half) <= PLATEAU_FRACTION * full
-        verdicts[n] = Verdict.MEMBER if plateau else Verdict.INCONCLUSIVE
-
-    # Enforce antitonicity: the rank may never increase with n.
-    rank = _VERDICT_RANK[verdicts[1]]
-    for n in range(1, n_max + 1):
-        rank = min(rank, _VERDICT_RANK[verdicts[n]])
-        verdicts[n] = next(v for v, q in _VERDICT_RANK.items() if q == rank)
+            verdict = Verdict.NON_MEMBER
+        elif math.isinf(critical_r):
+            verdict = Verdict.MEMBER
+        elif abs(n - critical_r) <= INCONCLUSIVE_BAND:
+            verdict = Verdict.INCONCLUSIVE
+        elif n > critical_r:
+            verdict = Verdict.NON_MEMBER
+        else:
+            full = cf.power_sum(n)
+            half = cf.power_sum(n, stop=N // 2)
+            plateau = full <= 0.0 or (full - half) <= PLATEAU_FRACTION * full
+            verdict = Verdict.MEMBER if plateau else Verdict.INCONCLUSIVE
+        # antitone: no verdict ranks above the one at n - 1
+        verdicts[n] = min(verdict, verdicts.get(n - 1, verdict), key=_VERDICT_RANK.__getitem__)
 
     return MembershipReport(
         boundary_defects=defects,

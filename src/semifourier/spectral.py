@@ -30,6 +30,13 @@ cos -> -sin -> -cos -> sin, never by numerical differentiation.  Evaluation
 is arranged so that the anti-symmetry z(a) = -z(b) holds exactly in floating
 point at every derivative order; boundary defect checks rely on this.
 
+Each convention of the basis is written once, here, and every module reads
+it from here: the frequency omega_m in ``_omega``, the phase cos(omega_m a),
+sin(omega_m a) in ``_phase``, the factor sqrt(2/(b-a)) in
+``_normalization``, the cycle of the waves in ``_CYCLE`` (read from each
+branch through ``_CYCLE_FROM``) and the quarter-turn factors of a
+coefficient in ``_quarter_turns``.
+
 Basis values at any points come from ``_basis_block`` (the waves
 cos(omega_m x) and sin(omega_m x), one row per mode of a set, each row the
 same bits whatever other modes share the block) and ``_derivative_wave``
@@ -166,23 +173,57 @@ class Mode:
         return (self.m, 0 if self.branch is Branch.COS else 1)
 
 
+def _omega(cfg: SpectralConfig, m):
+    """omega_m = (2m - 1) * pi / (b - a) for a mode index m or an array of them, unchecked."""
+    return (2 * m - 1) * math.pi / (cfg.b - cfg.a)
+
+
+def _phase(cfg: SpectralConfig, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """cos(omega * a) and sin(omega * a) for each omega, the rotation of the basis waves to x."""
+    phase = np.multiply(omegas, cfg.a)
+    return np.cos(phase), np.sin(phase)
+
+
+def _normalization(cfg: SpectralConfig) -> float:
+    """sqrt(2 / (b - a)), the factor that makes each basis function a unit vector in L2(a, b)."""
+    return math.sqrt(2.0 / (cfg.b - cfg.a))
+
+
+# (wave, sign) of the j-th derivative of the cosine wave, j mod 4:
+# cos -> -sin -> -cos -> sin
+_CYCLE = ((Branch.COS, 1.0), (Branch.SIN, -1.0), (Branch.COS, -1.0), (Branch.SIN, 1.0))
+# the cycle from each branch's wave, indexed by j mod 4; the sine wave is step 3
+_CYCLE_FROM = {Branch.COS: _CYCLE, Branch.SIN: _CYCLE[3:] + _CYCLE[:3]}
+
+
+def _quarter_turns(branch: Branch, omega: float) -> tuple[float, float]:
+    """Factors of a coefficient's first and second quarter-turn, starting on branch.
+
+    d/dx cos = -omega sin and d/dx sin = omega cos, so (-omega, omega) from
+    cos and (omega, -omega) from sin; the pair repeats.
+    """
+    return (-omega, omega) if branch is Branch.COS else (omega, -omega)
+
+
 def angular_frequency(cfg: SpectralConfig, m: int) -> float:
     """Frequency (2m - 1) * pi / (b - a) of the m-th eigenfunction pair."""
     m = _check_integer(m, 1, InvalidModeError, "mode index")
-    return (2 * m - 1) * math.pi / (cfg.b - cfg.a)
+    return _omega(cfg, m)
 
 
 def eigenvalue(cfg: SpectralConfig, m: int) -> float:
     """m-th eigenvalue omega_m**2 + k, of multiplicity two; one multiply squares, correctly rounded."""
     m = _check_integer(m, 1, InvalidModeError, "mode index")
-    omega = (2 * m - 1) * math.pi / (cfg.b - cfg.a)
+    omega = _omega(cfg, m)
     return omega * omega + cfg.k
 
 
 def angular_frequencies(cfg: SpectralConfig, N: int) -> np.ndarray:
     """omega_1, ..., omega_N as an array, bit-equal to ``angular_frequency``."""
     N = _check_integer(N, 1, InvalidModeError, "mode count")
-    return (2 * np.arange(1, N + 1) - 1) * math.pi / (cfg.b - cfg.a)
+    # float indices (exact, as each 2m - 1 < 2**53): every step after 2 * m then
+    # works in place, where int indices would take one more array of N
+    return _omega(cfg, np.arange(1.0, N + 1.0))
 
 
 def eigenvalues(cfg: SpectralConfig, N: int) -> np.ndarray:
@@ -282,18 +323,17 @@ def basis_eval(cfg: SpectralConfig, mode: Mode, x, deriv_order: int = 0):
 def _basis_block(cfg: SpectralConfig, ms, xs: np.ndarray):
     """omega_m and the waves cos(omega_m x), sin(omega_m x) for each m in ms.
 
-    A list of omegas and two arrays with one row of shape xs.shape per mode.
-    (2m-1) * (x-a)/(b-a) is reduced exactly modulo 2 and rotated by the phase
-    omega_m * a, elementwise, so z(a) = -z(b) exactly and no row reads another.
+    A list of omegas (``_omega``) and two arrays with one row of shape
+    xs.shape per mode.  (2m-1) * (x-a)/(b-a) is reduced exactly modulo 2 and
+    rotated by the phase omega_m * a of ``_phase``, elementwise, so
+    z(a) = -z(b) exactly and no row reads another; at x = a the rows are the
+    phase itself, which the sawtooth closed form of ``catalog`` shares.
     """
-    length = cfg.b - cfg.a
-    u = (np.ravel(xs) - cfg.a) / length  # u = 1.0 exactly at x = b
-    odd = [2 * m - 1 for m in ms]
-    base_sin, base_cos = _sincospi(np.array(odd, dtype=float)[:, None] * u)
+    u = (np.ravel(xs) - cfg.a) / (cfg.b - cfg.a)  # u = 1.0 exactly at x = b
+    base_sin, base_cos = _sincospi(np.array([2 * m - 1 for m in ms], dtype=float)[:, None] * u)
 
-    omegas = [k * math.pi / length for k in odd]  # the operations of ``angular_frequency``
-    pc = np.array([math.cos(omega * cfg.a) for omega in omegas])[:, None]
-    ps = np.array([math.sin(omega * cfg.a) for omega in omegas])[:, None]
+    omegas = [_omega(cfg, m) for m in ms]  # a list: one mode is the common case
+    pc, ps = (wave[:, None] for wave in _phase(cfg, omegas))
     cos_psi = base_cos * pc  # cos(omega * x)
     cos_psi -= base_sin * ps
     sin_psi = base_sin * pc  # sin(omega * x)
@@ -316,11 +356,10 @@ def _derivative_wave(cfg: SpectralConfig, branch: Branch, omega: float,
     and flips the sign, both exact, so the result depends on the waves and
     the scalar factor alone.
     """
-    q = (deriv_order + (3 if branch is Branch.SIN else 0)) % 4
-    scale = math.sqrt(2.0 / (cfg.b - cfg.a)) * omega**deriv_order
-    if q in (1, 2):
-        scale = -scale  # (-s) * wave is s * (-wave), bit for bit, without a negated copy
-    return scale * (sin_psi if q % 2 else cos_psi)
+    wave, sign = _CYCLE_FROM[branch][deriv_order % 4]
+    # (-s) * wave is s * (-wave), bit for bit, without a negated copy
+    scale = sign * (_normalization(cfg) * omega**deriv_order)
+    return scale * (sin_psi if wave is Branch.SIN else cos_psi)
 
 
 class TrigPolynomial:
@@ -427,13 +466,10 @@ class TrigPolynomial:
         order = _check_integer(order, 0, DerivativeUnavailableError, "derivative order")
         terms: dict[Mode, complex] = {}
         for mode, coeff in self._terms.items():
-            omega = angular_frequency(self.config, mode.m)
-            branch = mode.branch
-            for _ in range(order):
-                if branch is Branch.COS:
-                    branch, coeff = Branch.SIN, 0j + -omega * coeff
-                else:
-                    branch, coeff = Branch.COS, 0j + omega * coeff
+            turns = _quarter_turns(mode.branch, angular_frequency(self.config, mode.m))
+            for j in range(order):
+                coeff = 0j + turns[j % 2] * coeff
+            branch, _ = _CYCLE_FROM[mode.branch][order % 4]
             terms[Mode(mode.m, branch)] = coeff
         return TrigPolynomial(self.config, terms)
 
@@ -602,8 +638,7 @@ def apply_ell_power(p: TrigPolynomial, n: int, method: str = "iterate") -> TrigP
     elif method == "binomial":
         coeffs = [complex(c) for c in ell_power_coefficients(n, cfg.k)]
         for mode, d in p.items():
-            omega = angular_frequency(cfg, mode.m)
-            first, second = (-omega, omega) if mode.branch is Branch.COS else (omega, -omega)
+            first, second = _quarter_turns(mode.branch, angular_frequency(cfg, mode.m))
             acc = 0j  # a sum that reaches zero is dropped, and restarts from 0j
             for j, c in enumerate(coeffs):
                 if j:  # p.derivative(2j) is two more quarter-turns of p.derivative(2j - 2)

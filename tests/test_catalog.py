@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from semifourier import (
     Branch, Mode, SemiFourierError, SpectralConfig, angular_frequency, classical_coeffs, eigenvalue,
 )
-from semifourier import catalog
+from semifourier import catalog, spectral
 from semifourier.report import _format_float, _json_value
 
 
@@ -167,6 +167,19 @@ configs = st.builds(
 @given(cfg=configs, N=st.integers(1, 2000))
 def test_sawtooth_closed_form_equals_per_mode_formula(cfg, N):
     _assert_bit_equal("sawtooth", _sawtooth_reference, cfg, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=configs, N=st.one_of(st.integers(1, 64), st.integers(1, 20_000)))
+def test_sawtooth_closed_form_and_the_basis_share_one_phase(cfg, N):
+    # at x = a the base waves are exactly cos 0 = 1 and sin 0 = 0, so the basis
+    # block's row there is (cos(omega_m a), sin(omega_m a)) as the block forms it
+    omegas, cos_a, sin_a = spectral._basis_block(cfg, range(1, N + 1), np.array([cfg.a]))
+    omega = np.array(omegas)
+    scale = -2.0 * math.sqrt(2.0 / cfg.length) / (omega * omega)
+    cv = catalog.coeff_vector("sawtooth", N, cfg)
+    assert np.all(cv.cos_coeffs == scale * cos_a[:, 0])
+    assert np.all(cv.sin_coeffs == scale * sin_a[:, 0])
 
 
 @settings(max_examples=60, deadline=None)
