@@ -8,6 +8,9 @@ norms      ladder norms computed by quadrature and by coefficient series
 converge   expansion error against the partial sum order
 verify     run the structural self-check suites
 
+Each subcommand's handler registers by being defined as ``_cmd_<name>``;
+``build_parser`` declares its options.
+
 Exit codes: 0 on success, 2 on invalid configuration or arguments, 3 when a
 verify run has failing checks.  Reports are emitted as deterministic JSON
 (default) or CSV.
@@ -220,13 +223,8 @@ def _cmd_verify(args) -> int:
     return 0 if report.summary["fail"] == 0 else 3
 
 
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "coeffs": _cmd_coeffs,
-    "norms": _cmd_norms,
-    "converge": _cmd_converge,
-    "verify": _cmd_verify,
-}
+# _cmd_<name> registers as the handler of subcommand <name>
+_COMMANDS = {name[len("_cmd_"):]: command for name, command in list(globals().items()) if name.startswith("_cmd_")}
 
 
 @functools.cache

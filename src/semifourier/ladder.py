@@ -70,6 +70,7 @@ from .spectral import (
     SpectralConfig,
     TrigPolynomial,
     _check_integer,
+    _endpoint_values,
     apply_ell,
     boundary_antisymmetry_defect,
     derivative_evaluator,
@@ -407,8 +408,8 @@ def _endpoint_rounding(f, cfg: SpectralConfig, order: int) -> float:
     zero or a domain error at a square-root endpoint) or is not finite adds 0.
     """
     try:
-        fj = derivative_evaluator(f, order)
-        slope = abs(complex(fj(cfg.a))) + abs(complex(fj(cfg.b)))
+        fa, fb = _endpoint_values(f, cfg, order)
+        slope = abs(complex(fa)) + abs(complex(fb))
     except (ArithmeticError, ValueError):
         return 0.0
     term = ENDPOINT_ROUNDING * max(abs(cfg.a), abs(cfg.b)) * slope

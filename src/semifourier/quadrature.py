@@ -57,17 +57,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigError,
-    NonFiniteIntegrandError,
-    SemiFourierError,
-)
+from .errors import InvalidConfigError, NonFiniteIntegrandError
 from .spectral import (
     SpectralConfig,
     TrigPolynomial,
     _basis_blocks,
     _check_integer,
     _derivative_wave,
+    _values_on,
     derivative_evaluator,
     eigenvalue,
 )
@@ -205,21 +202,6 @@ def _basis_side(modes, scales, cfg: SpectralConfig, spec: QuadratureSpec) -> Cal
         return values
 
     return side
-
-
-def _values_on(g: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate g on all nodes, falling back to a scalar loop when needed."""
-    try:
-        values = np.asarray(g(nodes))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, SemiFourierError):
-            raise
-        values = None
-    if values is not None and values.shape == ():
-        values = np.full(nodes.shape, values[()])
-    if values is None or values.shape != nodes.shape:
-        values = np.asarray([g(float(t)) for t in nodes])
-    return values
 
 
 def integrate(g: Callable, cfg: SpectralConfig, spec: QuadratureSpec = DEFAULT_QUADRATURE):

@@ -525,8 +525,9 @@ class FunctionHandle:
 
     No numerical differentiation is ever performed: a derivative order
     beyond the supplied tuple raises DerivativeUnavailableError.  Evaluators
-    should accept numpy arrays; scalar-only callables are tolerated by the
-    quadrature layer at reduced speed.
+    should accept numpy arrays, on the quadrature nodes and at the endpoints
+    alike; a scalar-only callable is called one point at a time instead, at
+    reduced speed.
     """
 
     derivatives: tuple[Callable, ...]
@@ -576,17 +577,33 @@ def derivative_evaluator(f, order: int) -> Callable:
     return f
 
 
+def _values_on(g: Callable, points: np.ndarray) -> np.ndarray:
+    """Evaluate g on all points, falling back to a scalar loop when needed."""
+    try:
+        values = np.asarray(g(points))
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, SemiFourierError):
+            raise
+        values = None
+    if values is not None and values.shape == ():
+        values = np.full(points.shape, values[()])
+    if values is None or values.shape != points.shape:
+        values = np.asarray([g(float(t)) for t in points])
+    return values
+
+
+def _endpoint_values(f, cfg: SpectralConfig, order: int) -> list:
+    """[f^(order)(a), f^(order)(b)] from one ``_values_on`` call on [a, b]."""
+    return _values_on(derivative_evaluator(f, order), np.array([cfg.a, cfg.b])).tolist()
+
+
 def boundary_antisymmetry_defect(f, cfg: SpectralConfig, order: int = 0) -> float:
     """|f^(j)(a) + f^(j)(b)|, zero exactly when the j-th derivative is anti-periodic.
 
-    A trig polynomial is evaluated at both endpoints in one call; any other
-    function is called at each endpoint as a scalar, which it must accept.
+    Both endpoints are evaluated in one call on the array [a, b]; a function
+    that does not accept the array is called at each endpoint as a scalar.
     """
-    fj = derivative_evaluator(f, order)
-    if isinstance(f, TrigPolynomial):
-        fa, fb = fj(np.array([cfg.a, cfg.b])).tolist()
-    else:
-        fa, fb = fj(cfg.a), fj(cfg.b)
+    fa, fb = _endpoint_values(f, cfg, order)
     return abs(complex(fa) + complex(fb))
 
 

@@ -4,6 +4,12 @@ Each suite re-runs one family of structural identities (orthonormality, the
 eigenvalue formula, the fundamental coefficient relation, power sum
 monotonicity, ...) at pinned tolerances and reports one row per check.  A
 single failing row makes the whole run fail.
+
+A suite registers by being defined: ``suite_<name>`` joins ``SUITES`` as
+``<name>`` (underscores read as hyphens), in definition order.  Its rows state
+only their own check; ``run_suites`` names each row with the suite it ran, so
+a suite called directly returns rows without a ``suite`` field, and only
+``run_suites`` rows are report rows.
 """
 
 from __future__ import annotations
@@ -51,17 +57,16 @@ def default_params() -> dict:
     return {"modes": 8, "n_max": 3, "trunc": 200, "samples": 25}
 
 
-def _row(suite: str, check: str, observed: float, tolerance: float, passed: bool | None = None) -> dict:
+def _row(check: str, observed: float, tolerance: float, passed: bool | None = None) -> dict:
     """One check; it passes when observed <= tolerance unless passed says otherwise."""
     observed, tolerance = float(observed), float(tolerance)
     passed = observed <= tolerance if passed is None else passed
-    return {"suite": suite, "check": check, "observed": observed, "tolerance": tolerance,
-            "passed": bool(passed)}
+    return {"check": check, "observed": observed, "tolerance": tolerance, "passed": bool(passed)}
 
 
-def _flag(suite: str, check: str, ok: bool) -> dict:
+def _flag(check: str, ok: bool) -> dict:
     """A yes/no check: observed 0 when it holds, 1 when it does not."""
-    return _row(suite, check, 0.0 if ok else 1.0, 0.0, ok)
+    return _row(check, 0.0 if ok else 1.0, 0.0, ok)
 
 
 def _trig_fixture(cfg: SpectralConfig) -> TrigPolynomial:
@@ -81,11 +86,11 @@ def suite_eigenvalues(cfg, spec, params):
     lam = eigenvalues(cfg, modes + 1).tolist()
     expected = [((2 * m - 1) * math.pi / (cfg.b - cfg.a)) ** 2 + cfg.k for m in range(1, modes + 2)]
     rel = max(abs(l - e) / e for l, e in zip(lam, expected))
-    rows = [_row("eigenvalues", "closed-form", rel, 1e-15)]
+    rows = [_row("closed-form", rel, 1e-15)]
     gap = min(b - a for a, b in zip(lam, lam[1:]))
-    rows.append(_row("eigenvalues", "strictly-increasing", gap, 0.0, gap > 0.0))
+    rows.append(_row("strictly-increasing", gap, 0.0, gap > 0.0))
     margin = min(lam) - cfg.k
-    rows.append(_row("eigenvalues", "above-shift", margin, 0.0, margin > 0.0))
+    rows.append(_row("above-shift", margin, 0.0, margin > 0.0))
     return rows
 
 
@@ -96,7 +101,7 @@ def suite_basis_boundary(cfg, spec, params):
     worst = max(abs(sum(_derivative_wave(cfg, branch, *row, order).tolist()))
                 for block in _basis_blocks(cfg, range(1, params["modes"] + 1), np.array([cfg.a, cfg.b]))
                 for row in zip(*block) for branch in Branch for order in range(7))
-    return [_row("basis-boundary", "antisymmetry-defect-orders-0-6", worst, 1e-12)]
+    return [_row("antisymmetry-defect-orders-0-6", worst, 1e-12)]
 
 
 def suite_quadrature(cfg, spec, params):
@@ -111,7 +116,7 @@ def suite_quadrature(cfg, spec, params):
         got = integrate(lambda x, d=deg: (x - cfg.a) ** d, cfg, spec)
         scale = max(abs(exact), 1.0)
         worst = max(worst, abs(got - exact) / scale)
-    rows.append(_row("quadrature", "polynomial-exactness", worst, 1e-12))
+    rows.append(_row("polynomial-exactness", worst, 1e-12))
 
     # halving the panel width cuts the error by >= 10x until the noise floor.
     # The probe is u^d, d = 6, the first monomial the 3-node rule misses: its
@@ -131,7 +136,7 @@ def suite_quadrature(cfg, spec, params):
     floor = 10 * 7 * np.finfo(float).eps * max(abs(cfg.a), abs(cfg.b), length) / length
     ratios = [before / after for before, after in zip(errors, errors[1:]) if after > floor]
     observed = min(ratios) if ratios else math.inf
-    rows.append(_row("quadrature", "panel-doubling-gain", observed, 10.0, observed >= 10.0))
+    rows.append(_row("panel-doubling-gain", observed, 10.0, observed >= 10.0))
 
     # fixed-grid linearity
     f = basis_polynomial(cfg, Mode(2, Branch.COS))
@@ -139,12 +144,12 @@ def suite_quadrature(cfg, spec, params):
     lhs = integrate(lambda x: 2.5 * np.asarray(f(x)) - 1.25 * np.asarray(g(x)), cfg, spec)
     rhs = 2.5 * integrate(f, cfg, spec) - 1.25 * integrate(g, cfg, spec)
     resid = abs(lhs - rhs)
-    rows.append(_row("quadrature", "linearity", resid, 1e-13))
+    rows.append(_row("linearity", resid, 1e-13))
 
     # bit-stable repetition
     twice = integrate(f, cfg, spec)
     again = integrate(f, cfg, spec)
-    rows.append(_flag("quadrature", "deterministic-repeat", twice == again))
+    rows.append(_flag("deterministic-repeat", twice == again))
     return rows
 
 
@@ -174,8 +179,8 @@ def suite_ell_power(cfg, spec, params):
             diag = eigenvalue(cfg, mode.m) ** n * poly.coefficient(mode)
             worst_diag = max(worst_diag, abs(ci - diag) / max(abs(diag), 1e-300))
     return [
-        _row("ell-power", "binomial-vs-iterated", worst_pair, 1e-10),
-        _row("ell-power", "diagonal-action", worst_diag, 1e-10),
+        _row("binomial-vs-iterated", worst_pair, 1e-10),
+        _row("diagonal-action", worst_diag, 1e-10),
     ]
 
 
@@ -187,7 +192,7 @@ def suite_orthonormality(cfg, spec, params):
         gram = _ladder_matrix(basis, basis, n, cfg, spec)
         worst = float(np.max(np.abs(gram - np.eye(len(modes)))))
         check = f"ladder-gram-quadrature-n{n}" if n else "l2-gram-quadrature"
-        rows.append(_row("orthonormality", check, worst, 1e-8))
+        rows.append(_row(check, worst, 1e-8))
     return rows
 
 
@@ -198,14 +203,14 @@ def suite_fundamental_relation(cfg, spec, params):
     worst = 0.0
     for mode, d in zip(modes, fundamental_relation_defects(modes, saw, 1, cfg, spec).tolist()):
         worst = max(worst, d / eigenvalue(cfg, mode.m))
-    rows.append(_row("fundamental-relation", "sawtooth-n1", worst, 1e-7))
+    rows.append(_row("sawtooth-n1", worst, 1e-7))
 
     fixture = _trig_fixture(cfg)
     worst = 0.0
     for n in range(1, min(3, params["n_max"]) + 1):
         for mode, d in zip(modes, fundamental_relation_defects(modes, fixture, n, cfg, spec).tolist()):
             worst = max(worst, d / eigenvalue(cfg, mode.m) ** n)
-    rows.append(_row("fundamental-relation", "trig-fixture", worst, 1e-7))
+    rows.append(_row("trig-fixture", worst, 1e-7))
     return rows
 
 
@@ -224,7 +229,7 @@ def suite_rescale(cfg, spec, params):
             np.max(np.abs(direct.cos_coeffs - rescaled.cos_coeffs)),
             np.max(np.abs(direct.sin_coeffs - rescaled.sin_coeffs)),
         ) / max(scale, 1e-300)
-        rows.append(_row("rescale", label, worst, 1e-7))
+        rows.append(_row(label, worst, 1e-7))
     return rows
 
 
@@ -239,7 +244,7 @@ def suite_lower_bound(cfg, spec, params):
     for f in fixtures:
         for n in range(1, min(4, params["n_max"] + 1) + 1):
             worst = min(worst, lower_bound_margin(f, n, cfg, spec))
-    rows.append(_row("lower-bound", "margin-nonnegative", worst, -1e-8, worst >= -1e-8))
+    rows.append(_row("margin-nonnegative", worst, -1e-8, worst >= -1e-8))
     return rows
 
 
@@ -251,7 +256,7 @@ def suite_diagonal_identity(cfg, spec, params):
         lhs = leftdef_inner(p, q, n, cfg)
         rhs = l2_inner(apply_ell_power(p, n), q, cfg)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    return [_row("diagonal-identity", "ladder-vs-ell-power", worst, 1e-13)]
+    return [_row("ladder-vs-ell-power", worst, 1e-13)]
 
 
 def suite_norm_ladder(cfg, spec, params):
@@ -261,7 +266,7 @@ def suite_norm_ladder(cfg, spec, params):
         lhs = spectral_inner_r(cf, cf, r).real
         rhs = cfg.k ** (r - s) * spectral_inner_r(cf, cf, s).real
         worst = max(worst, (lhs - rhs) / max(abs(rhs), 1e-300))
-    return [_row("norm-ladder", "power-sum-monotone", worst, 1e-12)]
+    return [_row("power-sum-monotone", worst, 1e-12)]
 
 
 def suite_operator_matrix(cfg, spec, params):
@@ -273,15 +278,15 @@ def suite_operator_matrix(cfg, spec, params):
         off = mat - np.diag(np.diag(mat))
         worst_off = float(np.max(np.abs(off)))
         worst_diag = float(np.max(np.abs(np.diag(mat) - lam)))
-        rows.append(_row("operator-matrix", f"offdiag-quadrature-n{n}", worst_off, 1e-8))
-        rows.append(_row("operator-matrix", f"diag-eigenvalues-n{n}", worst_diag, 1e-10))
+        rows.append(_row(f"offdiag-quadrature-n{n}", worst_off, 1e-8))
+        rows.append(_row(f"diag-eigenvalues-n{n}", worst_diag, 1e-10))
     # each entry is lambda * (lambda * lambda**-1/2) * lambda**-1/2: five
     # roundings, at most about 2.5 eps lambda, so the tolerance scales with
     # the largest eigenvalue once 4 eps lambda_N passes 1e-12
     exact = operator_matrix(1, N, cfg, spec)
     resid = float(np.max(np.abs(exact - np.diag(lam))))
     tol = max(1e-12, 4 * np.finfo(float).eps * float(lam[-1]))
-    rows.append(_row("operator-matrix", "exact-route-diagonal", resid, tol))
+    rows.append(_row("exact-route-diagonal", resid, tol))
     return rows
 
 
@@ -293,12 +298,12 @@ def suite_parseval(cfg, spec, params):
     norm_sq = l2_inner(saw, saw, cfg, spec).real
     exact = L**3 / 12.0
     err = abs(norm_sq - exact) / exact
-    rows.append(_row("parseval", "l2-norm-closed-form", err, 1e-10))
+    rows.append(_row("l2-norm-closed-form", err, 1e-10))
 
     N = max(params["trunc"], 200)
     cv = catalog.coeff_vector(saw_entry, N, cfg, spec)
     defect = exact - cv.power_sum()
-    rows.append(_row("parseval", "classical-tail", abs(defect), 1e-7))
+    rows.append(_row("classical-tail", abs(defect), 1e-7))
 
     N1 = max(params["trunc"], 400)
     cv1 = catalog.coeff_vector(saw_entry, N1, cfg, spec)
@@ -306,11 +311,11 @@ def suite_parseval(cfg, spec, params):
     series = spectral_inner_r(cv1, cv1, 1).real
     tail = ladder_exact - series
     ok = 0.0 < tail < 5e-3 * ladder_exact
-    rows.append(_row("parseval", "ladder-tail-positive", tail, 5e-3 * ladder_exact, ok))
+    rows.append(_row("ladder-tail-positive", tail, 5e-3 * ladder_exact, ok))
 
     half = catalog.coeff_vector(saw_entry, N1 // 2, cfg, spec)
     tail_half = ladder_exact - spectral_inner_r(half, half, 1).real
-    rows.append(_row("parseval", "ladder-tail-decreasing", tail, tail_half, 0.0 < tail < tail_half))
+    rows.append(_row("ladder-tail-decreasing", tail, tail_half, 0.0 < tail < tail_half))
     return rows
 
 
@@ -324,8 +329,8 @@ def suite_bessel(cfg, spec, params):
     bounded = float(c2[-1]) <= norm_sq + 1e-10
     overshoot = float(c2[-1]) - norm_sq
     return [
-        _flag("bessel", "partial-sums-monotone", monotone),
-        _row("bessel", "bounded-by-norm", overshoot, 1e-10, bounded),
+        _flag("partial-sums-monotone", monotone),
+        _row("bounded-by-norm", overshoot, 1e-10, bounded),
     ]
 
 
@@ -336,7 +341,7 @@ def suite_idempotence(cfg, spec, params):
         np.array_equal(cv.cos_coeffs, back.cos_coeffs)
         and np.array_equal(cv.sin_coeffs, back.sin_coeffs)
     )
-    return [_flag("idempotence", "coeffs-of-partial-sum", same)]
+    return [_flag("coeffs-of-partial-sum", same)]
 
 
 def suite_error_tail(cfg, spec, params):
@@ -355,7 +360,7 @@ def suite_error_tail(cfg, spec, params):
     for label, err, tail in (("l2", err_l2, tail_l2), ("ladder-n1", err_n1, tail_n1)):
         resid = abs(err**2 - tail)
         tol = 2.0 * spec.abs_tol + 1e-12 * max(tail, 1.0)
-        rows.append(_row("error-tail", f"duality-{label}", resid, tol))
+        rows.append(_row(f"duality-{label}", resid, tol))
     return rows
 
 
@@ -383,7 +388,7 @@ def suite_domains(cfg, spec, params):
         checks.append((f"mode{m}-in-v6", in_v_space(z, 6, cfg, spec), True))
         checks.append((f"mode{m}-operator-domain-n3", domain_indicator(z, 3, cfg, spec).in_operator_domain, True))
     for label, got, want in checks:
-        rows.append(_flag("domains", label, got == want))
+        rows.append(_flag(label, got == want))
     return rows
 
 
@@ -395,46 +400,30 @@ def suite_ladder_fixtures(cfg, spec, params):
     rep = membership_classify(cv, 2, f=saw_entry.handle(cfg), spec=spec)
     ok1 = rep.verdict_per_n[1] is Verdict.MEMBER
     ok2 = rep.verdict_per_n[2] is Verdict.NON_MEMBER
-    rows.append(_flag("ladder-fixtures", "sawtooth-member-n1", ok1))
-    rows.append(_flag("ladder-fixtures", "sawtooth-nonmember-n2", ok2))
+    rows.append(_flag("sawtooth-member-n1", ok1))
+    rows.append(_flag("sawtooth-nonmember-n2", ok2))
     dev = abs(rep.critical_r - 1.5)
-    rows.append(_row("ladder-fixtures", "sawtooth-critical-exponent", dev, 0.1))
+    rows.append(_row("sawtooth-critical-exponent", dev, 0.1))
 
     p = 3.5
     cv_syn = catalog.coeff_vector(f"synthetic:{p}", N, cfg, spec)
     rep_syn = membership_classify(cv_syn, 2, spec=spec)
     # density-corrected convergence threshold of sum lambda**(r-p): r = p - 1/2
     dev = abs(rep_syn.critical_r - (p - 0.5))
-    rows.append(_row("ladder-fixtures", "synthetic-critical-exponent", dev, 0.1))
+    rows.append(_row("synthetic-critical-exponent", dev, 0.1))
 
     cv_mode = catalog.coeff_vector("mode:5:sin", 64, cfg, spec)
     rep_mode = membership_classify(cv_mode, 4, spec=spec)
     all_member = all(v is Verdict.MEMBER for v in rep_mode.verdict_per_n.values())
     inf_ok = math.isinf(rep_mode.critical_r)
-    rows.append(_flag("ladder-fixtures", "basis-member-every-n", all_member))
-    rows.append(_flag("ladder-fixtures", "basis-critical-infinite", inf_ok))
+    rows.append(_flag("basis-member-every-n", all_member))
+    rows.append(_flag("basis-critical-infinite", inf_ok))
     return rows
 
 
-SUITES = {
-    "eigenvalues": suite_eigenvalues,
-    "basis-boundary": suite_basis_boundary,
-    "quadrature": suite_quadrature,
-    "ell-power": suite_ell_power,
-    "orthonormality": suite_orthonormality,
-    "fundamental-relation": suite_fundamental_relation,
-    "rescale": suite_rescale,
-    "lower-bound": suite_lower_bound,
-    "diagonal-identity": suite_diagonal_identity,
-    "norm-ladder": suite_norm_ladder,
-    "operator-matrix": suite_operator_matrix,
-    "parseval": suite_parseval,
-    "bessel": suite_bessel,
-    "idempotence": suite_idempotence,
-    "error-tail": suite_error_tail,
-    "domains": suite_domains,
-    "ladder-fixtures": suite_ladder_fixtures,
-}
+# suite_<name> registers as <name> ("_" read as "-"), in definition order
+SUITES = {name[len("suite_"):].replace("_", "-"): suite
+          for name, suite in list(globals().items()) if name.startswith("suite_")}
 
 
 def run_suites(names, cfg: SpectralConfig, spec: QuadratureSpec, params: dict | None = None) -> Report:
@@ -446,7 +435,7 @@ def run_suites(names, cfg: SpectralConfig, spec: QuadratureSpec, params: dict | 
         for name in names:
             if name not in SUITES:
                 raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-            rows.extend(SUITES[name](cfg, spec, merged))
+            rows.extend({"suite": name, **row} for row in SUITES[name](cfg, spec, merged))
     passed = sum(1 for r in rows if r["passed"])
     return Report(
         kind="verify",

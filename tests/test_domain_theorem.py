@@ -32,6 +32,7 @@ from semifourier import (
     domain_indicator,
     in_v_space,
     l2_inner,
+    leftdef_norm,
     membership_classify,
 )
 from semifourier import catalog, ladder
@@ -179,6 +180,18 @@ def test_slope_that_cannot_be_evaluated_at_an_endpoint_adds_no_rounding(cfg, spe
     assert not in_v_space(root, 1, cfg, spec)
     cv = catalog.coeff_vector("mode:5:sin", 64, cfg, spec)
     assert membership_classify(cv, 1, root, spec).verdict_per_n == {1: Verdict.NON_MEMBER}
+
+
+def test_array_only_handle_is_evaluated_at_the_endpoints_as_an_array(cfg, spec):
+    # xs.shape fails on a float, so every endpoint value and slope must come
+    # from one call on the array [a, b], as the quadrature nodes do
+    c = (cfg.a + cfg.b) / 2.0
+    saw = FunctionHandle((lambda xs: xs - c, lambda xs: np.ones(xs.shape), lambda xs: np.zeros(xs.shape)))
+    assert leftdef_norm(saw, 1, cfg, spec) > 0.0
+    assert boundary_antisymmetry_defect(saw, cfg, 1) == 2.0
+    assert not in_v_space(saw, 2, cfg, spec)
+    verdict = domain_indicator(saw, 0, cfg, spec)
+    assert verdict.in_sqrt_domain and not verdict.in_operator_domain
 
 
 @pytest.mark.parametrize("name", ["sawtooth", "offset-cosine"])

@@ -15,9 +15,11 @@ def test_all_suites_pass(cfg, spec):
     assert report.summary["pass"] == len(report.rows)
 
 
-def test_suite_selection(cfg, spec):
-    report = run_suites(["eigenvalues"], cfg, spec, default_params())
-    assert {row["suite"] for row in report.rows} == {"eigenvalues"}
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_selection(name, cfg, spec):
+    # every row of a suite carries the name it registered under
+    report = run_suites([name], cfg, spec, default_params())
+    assert {row["suite"] for row in report.rows} == {name}
 
 
 def test_unknown_suite_rejected(cfg, spec):
@@ -34,7 +36,7 @@ def test_params_merge_with_defaults(cfg, spec):
 def test_report_rows_have_uniform_schema(cfg, spec):
     report = run_suites(["quadrature", "parseval"], cfg, spec, default_params())
     for row in report.rows:
-        assert set(row) == {"suite", "check", "observed", "tolerance", "passed"}
+        assert list(row) == ["suite", "check", "observed", "tolerance", "passed"]
 
 
 def test_alternate_interval_still_passes(spec):
