@@ -12,7 +12,8 @@ Catalog names understood by the command line and the verification suites:
                           boundary condition at order zero on (0, pi).
 
 Entries carry closed-form coefficients where available, as a formula that
-returns the cosine and sine coefficient arrays of modes 1..N at once.
+returns the cosine and sine coefficient arrays of modes 1..N at once; a
+``mode:`` entry needs none, since its handle is exact.
 Coefficient vectors built from the closed form stay accurate at mode indices
 far beyond what the fixed quadrature budget can resolve.  The closed forms and
 handles take the basis conventions from :mod:`semifourier.spectral`: the
@@ -53,7 +54,11 @@ _HANDLE_DERIVS = 7  # derivatives 0..6 supplied for pointwise catalog entries
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named function, its pointwise handle (if any), and known facts."""
+    """A named function, its pointwise handle (if any), and known facts.
+
+    A ``mode:`` entry carries no closed form: its handle is the one-term
+    basis polynomial, whose coefficients are exact already.
+    """
 
     name: str
     known_ladder: int | None  # largest ladder index with membership on (0, pi); None = all
@@ -123,16 +128,6 @@ def _synthetic_coeffs(p: float) -> Callable[[SpectralConfig, int], tuple[np.ndar
     return formula
 
 
-def _mode_coeffs(mode_m: int, branch: Branch):
-    def formula(cfg: SpectralConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
-        a, b = np.zeros(N), np.zeros(N)
-        if mode_m <= N:
-            (a if branch is Branch.COS else b)[mode_m - 1] = 1.0
-        return a, b
-
-    return formula
-
-
 def available_functions() -> list[str]:
     return ["mode:<m>:<cos|sin>", "sawtooth", "synthetic:<p>", "offset-cosine"]
 
@@ -170,7 +165,6 @@ def resolve(name: str) -> CatalogEntry:
             name=name,
             known_ladder=None,
             handle=lambda cfg, m=m, branch=branch: basis_polynomial(cfg, Mode(m, branch)),
-            coeff_formula=_mode_coeffs(m, branch),
         )
     if name.startswith("synthetic:"):
         raw = name.split(":", 1)[1]
@@ -196,8 +190,9 @@ def coeff_vector(entry: CatalogEntry | str, N: int, cfg: SpectralConfig,
     """Classical coefficient vector for a catalog entry.
 
     Closed-form coefficients are used when available, since quadrature
-    cannot resolve high mode indices on a fixed grid; otherwise the
-    pointwise handle is integrated.
+    cannot resolve high mode indices on a fixed grid; otherwise the handle
+    goes to ``classical_coeffs``, which reads a trig polynomial's (a
+    ``mode:`` entry's) coefficients exactly and integrates anything else.
     """
     if isinstance(entry, str):
         entry = resolve(entry)

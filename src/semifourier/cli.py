@@ -9,11 +9,14 @@ converge   expansion error against the partial sum order
 verify     run the structural self-check suites
 
 Each subcommand's handler registers by being defined as ``_cmd_<name>``;
-``build_parser`` declares its options.
+``build_parser`` declares its options.  A handler takes the parsed
+arguments, the config and the quadrature rule (None for spectrum) and
+returns its ``Report``; ``_execute`` builds the config and the rule, emits
+the report and sets the exit code.
 
 Exit codes: 0 on success, 2 on invalid configuration or arguments, 3 when a
-verify run has failing checks.  Reports are emitted as deterministic JSON
-(default) or CSV.
+report has failing checks (only verify reports have any).  Reports are
+emitted as deterministic JSON (default) or CSV.
 """
 
 from __future__ import annotations
@@ -57,32 +60,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", parents=[common], help="eigenvalues of the first modes")
-    p.add_argument("--N", "--modes", dest="trunc", type=int, default=8, help="number of modes")
+    p.add_argument("--N", dest="trunc", type=int, default=8, help="number of modes")
 
     p = sub.add_parser("coeffs", parents=[common, quad_flags], help="expansion coefficients")
     p.add_argument("--function", required=True, help="catalog name, e.g. sawtooth or mode:3:sin")
-    p.add_argument("--N", "--modes", dest="trunc", type=int, default=8, help="truncation order")
+    p.add_argument("--N", dest="trunc", type=int, default=8, help="truncation order")
     p.add_argument("--n", type=int, default=None, help="ladder index for rescaled coefficients")
     p.add_argument("--method", choices=("rescale", "direct"), default=None,
                    help="route for ladder coefficients (needs --n; default rescale)")
 
     p = sub.add_parser("norms", parents=[common, quad_flags], help="norms by quadrature and by series")
     p.add_argument("--function", required=True)
-    p.add_argument("--N", "--modes", dest="trunc", type=int, default=200,
+    p.add_argument("--N", dest="trunc", type=int, default=200,
                    help="series truncation order")
     p.add_argument("--n", type=int, default=None, help="integer ladder index")
     p.add_argument("--r", type=float, default=None, help="positive real power (series route only)")
 
     p = sub.add_parser("converge", parents=[common, quad_flags], help="expansion error vs partial sum order")
     p.add_argument("--function", required=True)
-    p.add_argument("--N", "--modes", dest="trunc", type=int, default=32, help="largest order")
+    p.add_argument("--N", dest="trunc", type=int, default=32, help="largest order")
     p.add_argument("--n", type=int, default=None, help="measure the error in this ladder norm")
 
     p = sub.add_parser("verify", parents=[common, quad_flags], help="run self-check suites")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name (repeatable); default all. Available: "
                         + ", ".join(sorted(SUITES)))
-    p.add_argument("--N", "--modes", dest="count", type=int, default=None,
+    p.add_argument("--N", dest="count", type=int, default=None,
                    help="number of modes for mode-indexed checks and series suites")
     p.add_argument("--n", dest="n_max", type=int, default=None, help="largest ladder index")
     for sub_parser in sub.choices.values():  # -1e5, -7.8e-05: values, not flags (as in Python 3.13)
@@ -90,15 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> SpectralConfig:
-    return SpectralConfig(args.a, args.b, args.k)
-
-
-def _quad_spec(args) -> QuadratureSpec:
-    return QuadratureSpec(panels=args.quad_panels, nodes_per_panel=args.quad_nodes)
-
-
-def _emit(report: Report, args) -> None:
+def _execute(args) -> int:
+    """Run the handler of args.command, emit its report and return the exit code."""
+    cfg = SpectralConfig(args.a, args.b, args.k)
+    spec = QuadratureSpec(panels=args.quad_panels, nodes_per_panel=args.quad_nodes) if "quad_panels" in args else None
+    report = _COMMANDS[args.command](args, cfg, spec)
     text = render(report, args.format)
     if args.output:
         try:
@@ -108,6 +107,7 @@ def _emit(report: Report, args) -> None:
             raise SemiFourierError(f"cannot write report to {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+    return 3 if report.summary["fail"] else 0
 
 
 def _check_count(count: int) -> None:
@@ -115,17 +115,13 @@ def _check_count(count: int) -> None:
         raise SemiFourierError(f"--N must be a positive integer, got {count}")
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = _config(args)
+def _cmd_spectrum(args, cfg: SpectralConfig, spec: QuadratureSpec | None) -> Report:
     _check_count(args.trunc)
     table = {"m": np.arange(1, args.trunc + 1), "eigenvalue": eigenvalues(cfg, args.trunc)}
-    _emit(Report("spectrum", cfg, {"modes": args.trunc}, table), args)
-    return 0
+    return Report("spectrum", cfg, {"modes": args.trunc}, table)
 
 
-def _cmd_coeffs(args) -> int:
-    cfg = _config(args)
-    spec = _quad_spec(args)
+def _cmd_coeffs(args, cfg: SpectralConfig, spec: QuadratureSpec | None) -> Report:
     entry = catalog.resolve(args.function)
     if args.n is None:
         if args.method is not None:
@@ -142,13 +138,10 @@ def _cmd_coeffs(args) -> int:
         cv = leftdef_coeffs(f, args.trunc, args.n, cfg, spec, method="direct")
         params = {"function": args.function, "N": args.trunc, "n": args.n, "method": "direct"}
     table = {"m": np.arange(1, cv.size + 1), "a": cv.cos_coeffs, "b": cv.sin_coeffs}
-    _emit(Report("coeffs", cfg, params, table), args)
-    return 0
+    return Report("coeffs", cfg, params, table)
 
 
-def _cmd_norms(args) -> int:
-    cfg = _config(args)
-    spec = _quad_spec(args)
+def _cmd_norms(args, cfg: SpectralConfig, spec: QuadratureSpec | None) -> Report:
     if args.n is not None and args.r is not None:
         raise SemiFourierError("choose either --n or --r, not both")
     if args.n is not None:
@@ -172,8 +165,7 @@ def _cmd_norms(args) -> int:
         rows.append({"method": "coefficient-series", "n": 0 if n is None else n,
                      "N": args.trunc, "value": series})
         params = {"function": args.function, "n": 0 if n is None else n, "N": args.trunc}
-    _emit(Report("norms", cfg, params, rows), args)
-    return 0
+    return Report("norms", cfg, params, rows)
 
 
 def _checkpoints(limit: int) -> list[int]:
@@ -186,9 +178,7 @@ def _checkpoints(limit: int) -> list[int]:
     return points
 
 
-def _cmd_converge(args) -> int:
-    cfg = _config(args)
-    spec = _quad_spec(args)
+def _cmd_converge(args, cfg: SpectralConfig, spec: QuadratureSpec | None) -> Report:
     if args.n is not None:
         # before the function is resolved and its coefficient vector built
         _check_ladder_index(args.n)
@@ -200,13 +190,10 @@ def _cmd_converge(args) -> int:
     params = {"function": args.function, "N": args.trunc}
     if args.n is not None:
         params["n"] = args.n
-    _emit(Report("converge", cfg, params, table), args)
-    return 0
+    return Report("converge", cfg, params, table)
 
 
-def _cmd_verify(args) -> int:
-    cfg = _config(args)
-    spec = _quad_spec(args)
+def _cmd_verify(args, cfg: SpectralConfig, spec: QuadratureSpec | None) -> Report:
     if args.count is not None:
         _check_count(args.count)
     if args.n_max is not None:
@@ -215,12 +202,9 @@ def _cmd_verify(args) -> int:
     if "all" in names:
         names = list(SUITES)
     try:
-        report = run_suites(names, cfg, spec,
-                            {"modes": args.count, "n_max": args.n_max, "trunc": args.count})
+        return run_suites(names, cfg, spec, {"modes": args.count, "n_max": args.n_max, "trunc": args.count})
     except KeyError as exc:
         raise SemiFourierError(str(exc.args[0])) from None
-    _emit(report, args)
-    return 0 if report.summary["fail"] == 0 else 3
 
 
 # _cmd_<name> registers as the handler of subcommand <name>
@@ -235,7 +219,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    return _execute(args)
 
 
 def main(argv=None) -> int:

@@ -145,7 +145,8 @@ def classical_coeffs(f, N: int, cfg: SpectralConfig,
                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> CoeffVector:
     """Classical coefficients a_m = (f, z_{m,cos}), b_m = (f, z_{m,sin}) for m <= N.
 
-    Trig polynomial input reproduces its own coefficients exactly; anything
+    Trig polynomial input reproduces its own coefficients exactly, each
+    stored term of a mode m <= N in its cell and 0j elsewhere; anything
     else is integrated against the basis on the shared quadrature grid.  The
     waves come from one walk of ``_basis_blocks`` over modes 1..N, so memory
     stays bounded at any N, and each row is summed pairwise as one
@@ -155,8 +156,11 @@ def classical_coeffs(f, N: int, cfg: SpectralConfig,
     if isinstance(f, TrigPolynomial):
         if f.config != cfg:
             raise InvalidConfigError("trig polynomial config does not match requested config")
-        a, b = ([f.coefficient(Mode(m, branch)) for m in range(1, N + 1)] for branch in Branch)
-        return CoeffVector(cfg, np.array(a, dtype=complex), np.array(b, dtype=complex))
+        a, b = np.zeros(N, dtype=complex), np.zeros(N, dtype=complex)
+        for mode, coeff in f.items():
+            if mode.m <= N:
+                (a if mode.branch is Branch.COS else b)[mode.m - 1] = coeff
+        return CoeffVector(cfg, a, b)
 
     nodes, weights = composite_rule(cfg, spec)
     values = _on_grid(f, cfg, spec)(0)

@@ -301,41 +301,30 @@ def _ladder_matrix(fs: Callable[[int], np.ndarray], gs: Callable[[int], np.ndarr
     functions on the rule's nodes, one row each (``_basis_side``,
     ``_function_side``, or a residual).  Entry (p, q) is sum_j C(n, j)
     k**(n-j) * integral f_p^(j) conj(g_q^(j)), accumulated from zero in
-    ascending j; n = 0 is the L2 inner product.  Per order, the f rows meet
-    the conj(g) rows in one contraction (``_add_order``).  Each entry is
-    summed on its own, so it is bit-equal to the 1 x 1 call on its pair
-    while each side is all real or all complex (callers pass a real basis or
-    one function; a mixed side sums as complex), and it is within the
-    rounding bound of the module docstring of an ``integrate`` per entry.
-    When fs is gs (a Gram matrix, or a residual against itself) each order
-    is evaluated once and serves as both sides.  A side with no rows gives
-    an empty matrix.
+    ascending j; n = 0 is the L2 inner product.  Per order, the g rows are
+    evaluated and conjugated first and only their conjugate is kept, then
+    the f rows meet them in one ``np.einsum`` contraction, which sums over
+    the nodes for every pair in its own loop with no BLAS call, so no thread
+    pool starts.  Each entry is summed on its own, so it is bit-equal to the
+    1 x 1 call on its pair while each side is all real or all complex
+    (callers pass a real basis or one function; a mixed side sums as
+    complex), and it is within the rounding bound of the module docstring
+    of an ``integrate`` per entry.  When fs is gs (a Gram matrix, or a
+    residual against itself) each order is evaluated once and serves as
+    both sides.  A non-finite product makes its weighted sum non-finite
+    (the weights are positive), so the products are formed and searched for
+    the offending node, in (p, q, node) order, only when a sum is not
+    finite.  A side with no rows gives an empty matrix.
     """
     nodes, weights = composite_rule(cfg, spec)
     total = 0j
     for j in range(n + 1):
-        total = _add_order(total, fs, gs, j, math.comb(n, j) * cfg.k ** (n - j), nodes, weights)
+        f_values = gs(j)  # the g values until fs is evaluated
+        g_conj = np.conjugate(f_values)
+        if fs is not gs:
+            f_values = fs(j)
+        sums = np.einsum("pn,qn->pq", f_values * weights, g_conj)
+        if not np.isfinite(sums).all():
+            _require_finite(f_values[:, None, :] * g_conj, nodes)
+        total = total + math.comb(n, j) * cfg.k ** (n - j) * sums
     return total
-
-
-def _add_order(total, fs: Callable[[int], np.ndarray], gs: Callable[[int], np.ndarray], j: int,
-               weight: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """total + weight * integral f_p^(j) conj(g_q^(j)), one contraction for all pairs.
-
-    The g rows are evaluated and conjugated before the f rows are
-    evaluated, and only their conjugate is kept; when fs is gs one
-    evaluation serves both.  ``np.einsum`` sums over the nodes for every
-    pair in its own loop, with no BLAS call, so no thread pool starts.  A
-    non-finite product makes its weighted sum non-finite (the weights are
-    positive), so the products are formed and searched for the offending
-    node, in (p, q, node) order, only when a sum is not finite.  The
-    order's values are released on return.
-    """
-    f_values = gs(j)  # the g values until fs is evaluated
-    g_conj = np.conjugate(f_values)
-    if fs is not gs:
-        f_values = fs(j)
-    sums = np.einsum("pn,qn->pq", f_values * weights, g_conj)
-    if not np.isfinite(sums).all():
-        _require_finite(f_values[:, None, :] * g_conj, nodes)
-    return total + weight * sums

@@ -194,6 +194,21 @@ def test_mode_closed_form_equals_per_mode_formula(cfg, N, m, branch):
     _assert_bit_equal(f"mode:{m}:{branch.value}", _mode_reference(m, branch), cfg, N)
 
 
+coefficients = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs, N=st.integers(1, 40),
+       terms=st.lists(st.tuples(st.integers(1, 60), st.sampled_from(Branch), coefficients), max_size=12))
+def test_trig_polynomial_coefficients_equal_per_mode_lookup(cfg, N, terms):
+    # the reference looks up each of the 2N modes; classical_coeffs fills the stored terms
+    p = spectral.TrigPolynomial(cfg, [(Mode(m, branch), c) for m, branch, c in terms])
+    cv = classical_coeffs(p, N, cfg)
+    for got, branch in ((cv.cos_coeffs, Branch.COS), (cv.sin_coeffs, Branch.SIN)):
+        want = np.array([p.coefficient(Mode(m, branch)) for m in range(1, N + 1)], dtype=complex)
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("a,b,k", [(0.0, math.pi, 1.0), (7.5, 10.3, 0.5), (-2.5, 0.75, 2.2)])
 def test_closed_forms_equal_per_mode_formulas_at_2e4_modes(a, b, k):
     cfg = SpectralConfig(a, b, k)

@@ -116,6 +116,16 @@ def test_verify_failing_checks_exit_code(capsys):
     assert doc["summary"]["fail"] > 0
 
 
+def test_failing_verify_writes_its_report_to_output(tmp_path, capsys):
+    argv = ["verify", "--suite", "orthonormality", "--quad-panels", "2", "--quad-nodes", "2"]
+    target = tmp_path / "report.json"
+    assert main([*argv, "--output", str(target)]) == 3
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 3
+    assert target.read_text() == capsys.readouterr().out
+    assert json.loads(target.read_text())["summary"]["fail"] > 0
+
+
 def test_csv_format(capsys):
     code = main(["spectrum", "--N", "2", "--format", "csv"])
     out = capsys.readouterr().out
@@ -187,6 +197,17 @@ def test_tol_option_is_gone(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol" in captured.err
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["coeffs", "--function", "sawtooth"],
+                                     ["norms", "--function", "sawtooth"],
+                                     ["converge", "--function", "sawtooth"], ["verify"]])
+def test_modes_spelling_is_gone(command, capsys):
+    # --N is the one spelling of the truncation order
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--modes", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["mode:0:cos", "mode:-2:sin"])
@@ -274,7 +295,7 @@ def test_reused_parser_matches_a_fresh_parse(capsys):
         assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
         code = main(argv)
         reused = capsys.readouterr().out
-        fresh_code = cli._COMMANDS[argv[0]](build_parser().parse_args(argv))
+        fresh_code = cli._execute(build_parser().parse_args(argv))
         assert (code, reused) == (fresh_code, capsys.readouterr().out)
     assert cli._parser().parse_args(runs[0]).suite == ["eigenvalues"]  # append does not pile up
     assert cli._parser() is cli._parser()
