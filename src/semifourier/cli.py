@@ -32,7 +32,7 @@ import numpy as np
 from . import catalog
 from .errors import SemiFourierError
 from .expansion import _expansion_errors, _rescale, leftdef_coeffs
-from .ladder import _check_ladder_index, leftdef_inner, spectral_inner_r
+from .ladder import _check_ladder_index, leftdef_norm, spectral_inner_r
 from .quadrature import QuadratureSpec, _norm, l2_inner
 from .report import Report, render
 from .spectral import SpectralConfig, eigenvalues
@@ -159,7 +159,7 @@ def _cmd_norms(args, cfg: SpectralConfig, spec: QuadratureSpec | None) -> Report
         n = args.n
         f = entry.handle(cfg)
         if f is not None:
-            quad = _norm(l2_inner(f, f, cfg, spec) if n is None else leftdef_inner(f, f, n, cfg, spec))
+            quad = _norm(l2_inner(f, f, cfg, spec)) if n is None else leftdef_norm(f, n, cfg, spec)
             rows.append({"method": "definition-quadrature", "n": 0 if n is None else n, "value": quad})
         series = _norm(cv.power_sum() if n is None else spectral_inner_r(cv, cv, n))
         rows.append({"method": "coefficient-series", "n": 0 if n is None else n,

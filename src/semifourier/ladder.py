@@ -18,11 +18,13 @@ The ladder is nested: each space sits strictly inside the previous one.
 The paper's domain theorem describes these spaces explicitly: f lies in the
 n-th ladder space (the domain of A**(n/2)) exactly when f^(j) is
 anti-periodic, f^(j)(a) + f^(j)(b) = 0, for every j < n and f^(n) is square
-integrable.  Every domain verdict here applies it through one helper,
-``_boundary_defects``: it returns the defects |f^(j)(a) + f^(j)(b)| and j0,
-the first order whose defect exceeds BOUNDARY_TOL times the L2 norm of f
-plus the rounding of the endpoint values, which far from the origin is the
-larger of the two.  So f is in the n-th space when j0 >= n and the
+integrable.  ``boundary_antisymmetry_defect`` measures one such condition,
+the defect |f^(j)(a) + f^(j)(b)|, from f's values at the two endpoints
+(``quadrature._endpoint_values``).  Every domain verdict here applies the
+theorem through one helper, ``_boundary_defects``: it returns the defects
+and j0, the first order whose defect exceeds BOUNDARY_TOL times the L2 norm
+of f plus the rounding of the endpoint values, which far from the origin is
+the larger of the two.  So f is in the n-th space when j0 >= n and the
 quadrature of |f^(n)|^2 is finite; ``in_v_space``, ``domain_indicator``
 and the boundary verdicts of ``membership_classify`` all read j0.
 
@@ -56,6 +58,7 @@ from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     _basis_side,
+    _endpoint_values,
     _function_side,
     _inner,
     _ladder_matrix,
@@ -70,9 +73,7 @@ from .spectral import (
     SpectralConfig,
     TrigPolynomial,
     _check_integer,
-    _endpoint_values,
     apply_ell,
-    boundary_antisymmetry_defect,
     derivative_evaluator,
     eigenvalue,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "leftdef_inner",
     "leftdef_norm",
     "scaled_basis",
+    "boundary_antisymmetry_defect",
     "fundamental_relation_defect",
     "fundamental_relation_defects",
     "lower_bound_margin",
@@ -365,6 +367,16 @@ def operator_matrix(n: int, N: int, cfg: SpectralConfig,
 def _ladder_scales(modes, n: int, cfg: SpectralConfig) -> list[float]:
     """lambda_m**(-n/2) for each mode, the factors of ``scaled_basis``; 1.0 at n = 0."""
     return [eigenvalue(cfg, mode.m) ** (-n / 2.0) for mode in modes]
+
+
+def boundary_antisymmetry_defect(f, cfg: SpectralConfig, order: int = 0) -> float:
+    """|f^(j)(a) + f^(j)(b)|, zero exactly when the j-th derivative is anti-periodic.
+
+    Both endpoints are evaluated in one call on the array [a, b]; a function
+    that does not accept the array is called at each endpoint as a scalar.
+    """
+    fa, fb = _endpoint_values(f, cfg, order)
+    return abs(complex(fa) + complex(fb))
 
 
 @dataclass(frozen=True)

@@ -6,26 +6,27 @@ nodes per panel integrates polynomials of degree <= 2q - 1 exactly on each
 panel.  The default budget (64 panels x 10 nodes) is sized for products of
 basis functions up to mode index around 40 together with smooth factors.
 
-Basis functions reach a rule's nodes as sides: functions of the derivative
-order j that return one row of values per function.  ``_basis_side`` stacks
-scale * z_mode for a list of modes and real scales, with the waves of each
-distinct mode index taken from one ``_basis_blocks`` walk (``_grid_waves``)
-and each row bit-equal to ``_on_grid`` of the one-term polynomial.
-``_on_grid`` takes a trig polynomial's waves the same way, once per call,
-and sums them for every order with ``TrigPolynomial._combine``, the
-summation loop of ``TrigPolynomial.evaluate``; so its values are
-bit-identical to ``evaluate`` and to a sum of ``basis_eval(cfg, mode,
-nodes, j)`` columns.
+Values at a fixed point set, the rule's nodes (``_on_grid``) or the
+endpoints [a, b] (``_endpoint_values``), come from ``_on_points``: j -> the
+j-th derivative of f there.  A trig polynomial on the interval takes the
+waves of its distinct mode indices from one ``_basis_blocks`` walk
+(``_waves_on``) and sums them for every order with
+``TrigPolynomial._combine``, the summation loop of ``evaluate``, so its
+values are bit-identical to ``evaluate``; anything else is evaluated.
+Basis functions reach the nodes as sides: functions of j that return one
+row of values per function.  ``_basis_side`` stacks scale * z_mode for a
+list of modes and real scales from one ``_grid_waves`` call (``_waves_on``
+the nodes), each row bit-equal to ``_on_grid`` of the one-term polynomial.
 
 Outside a verify run nothing is kept between calls: a library call holds
 its waves only while it runs, so a direct ladder coefficient vector at
 large N or a fresh config per call leaves nothing behind.  ``verify``
-evaluates the same modes on the same rule in many suites, so
+evaluates the same modes at the same points in many suites, so
 ``run_suites`` opens ``_wave_memo`` for the length of the run and every
-``_grid_waves`` call in it reads the rows of a mode index walked before on
-the same grid.  A row does not depend on the other modes of its block, so
-a memo row is the row a fresh walk gives, bit for bit; the rows are
-read-only.
+``_waves_on`` call in it reads the rows of a mode index walked before at
+the same points, keyed by (a, b, points.tobytes()).  A row does not depend
+on the other modes of its block, so a memo row is the row a fresh walk
+gives, bit for bit; the rows are read-only.
 
 ``_ladder_matrix`` is the one place that forms the ladder sum
 sum_j C(n, j) k**(n-j) * integral f^(j) conj(g^(j)) on the nodes, one array
@@ -57,14 +58,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidConfigError, NonFiniteIntegrandError
+from .errors import DerivativeUnavailableError, InvalidConfigError, NonFiniteIntegrandError, SemiFourierError
 from .spectral import (
     SpectralConfig,
     TrigPolynomial,
     _basis_blocks,
     _check_integer,
     _derivative_wave,
-    _values_on,
     derivative_evaluator,
     eigenvalue,
 )
@@ -128,13 +128,13 @@ def composite_rule(cfg: SpectralConfig, spec: QuadratureSpec = DEFAULT_QUADRATUR
     return _composite_rule(cfg.a, cfg.b, spec.panels, spec.nodes_per_panel)
 
 
-# Inside ``_wave_memo``: grid (a, b, panels, nodes_per_panel) -> {m: grid waves of m}.
+# Inside ``_wave_memo``: point set (a, b, points.tobytes()) -> {m: waves of m at the points}.
 _WAVE_MEMO: ContextVar[dict | None] = ContextVar("_WAVE_MEMO", default=None)
 
 
 @contextmanager
 def _wave_memo():
-    """Share the waves of every ``_grid_waves`` call made inside; all dropped on exit."""
+    """Share the waves of every ``_waves_on`` call made inside; all dropped on exit."""
     token = _WAVE_MEMO.set({})
     try:
         yield
@@ -142,19 +142,18 @@ def _wave_memo():
         _WAVE_MEMO.reset(token)
 
 
-def _grid_waves(cfg: SpectralConfig, spec: QuadratureSpec, ms) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """omega_m, cos(omega_m x) and sin(omega_m x) on the rule's nodes for each m in ms.
+def _waves_on(cfg: SpectralConfig, points: np.ndarray, ms) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """omega_m, cos(omega_m x) and sin(omega_m x) at the points for each m in ms.
 
-    The distinct indices not yet walked on this grid are walked once, in
+    The distinct indices not yet walked at these points are walked once, in
     first-seen order, through ``_basis_blocks``; the rows are read-only.
-    Inside ``_wave_memo`` they are kept for later calls on the same grid,
-    outside it for this call only.
+    Inside ``_wave_memo`` they are kept for later calls at the same points
+    of the same interval, outside it for this call only.
     """
     memo = _WAVE_MEMO.get()
-    rows = {} if memo is None else memo.setdefault((cfg.a, cfg.b, spec.panels, spec.nodes_per_panel), {})
+    rows = {} if memo is None else memo.setdefault((cfg.a, cfg.b, points.tobytes()), {})
     missing = [m for m in dict.fromkeys(ms) if m not in rows]
-    nodes, _ = composite_rule(cfg, spec)
-    walked = (row for block in _basis_blocks(cfg, missing, nodes) for row in zip(*block))
+    walked = (row for block in _basis_blocks(cfg, missing, points) for row in zip(*block))
     for m, (omega, cos_row, sin_row) in zip(missing, walked):
         cos_row.flags.writeable = False
         sin_row.flags.writeable = False
@@ -162,18 +161,48 @@ def _grid_waves(cfg: SpectralConfig, spec: QuadratureSpec, ms) -> list[tuple[flo
     return [rows[m] for m in ms]
 
 
-def _on_grid(f, cfg: SpectralConfig, spec: QuadratureSpec) -> Callable[[int], np.ndarray]:
-    """j -> values of the j-th derivative of f on the rule's nodes.
+def _grid_waves(cfg: SpectralConfig, spec: QuadratureSpec, ms) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """``_waves_on`` the rule's nodes."""
+    return _waves_on(cfg, composite_rule(cfg, spec)[0], ms)
+
+
+def _on_points(f, cfg: SpectralConfig, points: np.ndarray) -> Callable[[int], np.ndarray]:
+    """j -> values of the j-th derivative of f at a fixed point set: the rule's nodes or [a, b].
 
     A trig polynomial on this interval takes its waves from one
-    ``_grid_waves`` call and sums them with ``TrigPolynomial._combine`` for
+    ``_waves_on`` call and sums them with ``TrigPolynomial._combine`` for
     each j; anything else is evaluated.
     """
-    nodes, _ = composite_rule(cfg, spec)
     if isinstance(f, TrigPolynomial) and (f.config.a, f.config.b) == (cfg.a, cfg.b):
-        rows = _grid_waves(cfg, spec, f._mode_indices())
-        return lambda j: f._combine(nodes.shape, rows, j)
-    return lambda j: _values_on(derivative_evaluator(f, j), nodes)
+        rows = _waves_on(cfg, points, f._mode_indices())
+        return lambda j: f._combine(points.shape, rows, j)
+    return lambda j: _values_on(derivative_evaluator(f, j), points)
+
+
+def _on_grid(f, cfg: SpectralConfig, spec: QuadratureSpec) -> Callable[[int], np.ndarray]:
+    """``_on_points`` on the rule's nodes."""
+    return _on_points(f, cfg, composite_rule(cfg, spec)[0])
+
+
+def _values_on(g: Callable, points: np.ndarray) -> np.ndarray:
+    """Evaluate g on all points, falling back to a scalar loop when needed."""
+    try:
+        values = np.asarray(g(points))
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, SemiFourierError):
+            raise
+        values = None
+    if values is not None and values.shape == ():
+        values = np.full(points.shape, values[()])
+    if values is None or values.shape != points.shape:
+        values = np.asarray([g(float(t)) for t in points])
+    return values
+
+
+def _endpoint_values(f, cfg: SpectralConfig, order: int) -> list:
+    """[f^(order)(a), f^(order)(b)] from ``_on_points`` on [a, b]."""
+    order = _check_integer(order, 0, DerivativeUnavailableError, "derivative order")
+    return _on_points(f, cfg, np.array([cfg.a, cfg.b]))(order).tolist()
 
 
 def _function_side(f, cfg: SpectralConfig, spec: QuadratureSpec) -> Callable[[int], np.ndarray]:
@@ -226,8 +255,10 @@ def integrate(g: Callable, cfg: SpectralConfig, spec: QuadratureSpec = DEFAULT_Q
     ------
     NonFiniteIntegrandError
         If g produces NaN or infinity at any node.
+    DerivativeUnavailableError
+        If g is not a function-like object.
     """
-    return _weighted_sum(_values_on(g, composite_rule(cfg, spec)[0]), cfg, spec)
+    return _weighted_sum(_on_grid(g, cfg, spec)(0), cfg, spec)
 
 
 def _require_finite(values: np.ndarray, nodes: np.ndarray) -> None:

@@ -47,16 +47,15 @@ one exact remainder modulo 2 for both the sine and the cosine wave.
 arbitrary points walks ``_basis_blocks``, which yields blocks of at most
 ``_BLOCK_MODES`` modes, so its memory is bounded whatever the number of
 modes: ``TrigPolynomial.evaluate`` (which checks the order and the domain
-once per call), ``classical_coeffs`` on a handle and verify's basis-boundary
-suite.  The quadrature layer walks it on a rule's nodes and keeps the rows
-for the length of one call, or of one verify run (see
+once per call) and ``classical_coeffs`` on a handle.  The quadrature layer
+walks it at a fixed point set, a rule's nodes or the endpoints [a, b], and
+keeps the rows for the length of one call, or of one verify run (see
 :mod:`semifourier.quadrature`).
 ``TrigPolynomial._combine`` is the one summation loop: it takes the rows of
 the distinct modes in ascending order, so its values are bit-identical to
 ``basis_eval``; it adds into a given accumulator when a partial sum
 continues a lower one.  A point outside [a, b], NaN included, raises
-PointOutOfDomainError.  ``boundary_antisymmetry_defect`` evaluates
-both endpoints at once.
+PointOutOfDomainError.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ __all__ = [
     "eigenvalues",
     "basis_eval",
     "basis_polynomial",
-    "boundary_antisymmetry_defect",
     "apply_ell",
     "apply_ell_power",
     "ell_power_coefficients",
@@ -575,36 +573,6 @@ def derivative_evaluator(f, order: int) -> Callable:
             f"need derivatives up to order {order}, function supplies only 0..0"
         )
     return f
-
-
-def _values_on(g: Callable, points: np.ndarray) -> np.ndarray:
-    """Evaluate g on all points, falling back to a scalar loop when needed."""
-    try:
-        values = np.asarray(g(points))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, SemiFourierError):
-            raise
-        values = None
-    if values is not None and values.shape == ():
-        values = np.full(points.shape, values[()])
-    if values is None or values.shape != points.shape:
-        values = np.asarray([g(float(t)) for t in points])
-    return values
-
-
-def _endpoint_values(f, cfg: SpectralConfig, order: int) -> list:
-    """[f^(order)(a), f^(order)(b)] from one ``_values_on`` call on [a, b]."""
-    return _values_on(derivative_evaluator(f, order), np.array([cfg.a, cfg.b])).tolist()
-
-
-def boundary_antisymmetry_defect(f, cfg: SpectralConfig, order: int = 0) -> float:
-    """|f^(j)(a) + f^(j)(b)|, zero exactly when the j-th derivative is anti-periodic.
-
-    Both endpoints are evaluated in one call on the array [a, b]; a function
-    that does not accept the array is called at each endpoint as a scalar.
-    """
-    fa, fb = _endpoint_values(f, cfg, order)
-    return abs(complex(fa) + complex(fb))
 
 
 def apply_ell(p: TrigPolynomial) -> TrigPolynomial:

@@ -33,14 +33,13 @@ from .ladder import (
     operator_matrix,
     spectral_inner_r,
 )
-from .quadrature import QuadratureSpec, _basis_side, _ladder_matrix, _wave_memo, integrate, l2_inner
+from .quadrature import QuadratureSpec, _basis_side, _ladder_matrix, _wave_memo, _waves_on, integrate, l2_inner
 from .report import Report
 from .spectral import (
     Branch,
     Mode,
     SpectralConfig,
     TrigPolynomial,
-    _basis_blocks,
     _derivative_wave,
     apply_ell_power,
     basis_polynomial,
@@ -95,12 +94,13 @@ def suite_eigenvalues(cfg, spec, params):
 
 
 def suite_basis_boundary(cfg, spec, params):
-    # |z^(j)(a) + z^(j)(b)| for every basis function and order from one walk
-    # of the waves at the two endpoints; boundary_antisymmetry_defect on
-    # basis_polynomial gives the same bits, one evaluation per function and order
+    # |z^(j)(a) + z^(j)(b)| for every basis function and order from one
+    # _waves_on call at the two endpoints, the rows that
+    # boundary_antisymmetry_defect of basis_polynomial sums, so the same bits;
+    # inside a run the domains suite reads these rows from the wave memo
     worst = max(abs(sum(_derivative_wave(cfg, branch, *row, order).tolist()))
-                for block in _basis_blocks(cfg, range(1, params["modes"] + 1), np.array([cfg.a, cfg.b]))
-                for row in zip(*block) for branch in Branch for order in range(7))
+                for row in _waves_on(cfg, np.array([cfg.a, cfg.b]), range(1, params["modes"] + 1))
+                for branch in Branch for order in range(7))
     return [_row("antisymmetry-defect-orders-0-6", worst, 1e-12)]
 
 

@@ -103,3 +103,8 @@ def test_verify_suite_all_is_every_suite(capsys):
     every = capsys.readouterr().out
     assert main(["verify", "--N", "6"]) == 0
     assert capsys.readouterr().out == every
+
+
+def test_integrate_rejects_a_non_callable(cfg):
+    with pytest.raises(DerivativeUnavailableError, match="not a function-like object"):
+        integrate(5, cfg)

@@ -109,3 +109,31 @@ def test_memo_rows_equal_a_fresh_block_row(data, cfgs, specs):
                 [want], [want_cos], [want_sin] = spectral._basis_block(cfg, [m], nodes)
                 assert np.float64(omega).tobytes() == np.float64(want).tobytes()
                 assert cos_row.tobytes() == want_cos.tobytes() and sin_row.tobytes() == want_sin.tobytes(), m
+
+
+def _count_endpoint_walks(monkeypatch, cfg):
+    """The mode indices walked at the points [a, b], one list per ``_basis_block`` call."""
+    ends = np.array([cfg.a, cfg.b])
+    walks = []
+    block = spectral._basis_block
+
+    def counting(cfg_, ms, xs):
+        if np.array_equal(xs, ends):
+            walks.append(list(ms))
+        return block(cfg_, ms, xs)
+
+    monkeypatch.setattr(spectral, "_basis_block", counting)
+    return walks
+
+
+@pytest.mark.parametrize("a, b, k", VERIFY_CONFIGS)
+def test_verify_run_walks_each_mode_once_at_the_endpoints(monkeypatch, a, b, k):
+    # every route to the endpoint waves (the basis-boundary suite, the domain
+    # suite's boundary defects) shares the run's memo rows at [a, b]
+    cfg = SpectralConfig(a, b, k)
+    walks = _count_endpoint_walks(monkeypatch, cfg)
+    report = verify.run_suites(list(verify.SUITES), cfg, DEFAULT_QUADRATURE, {"modes": 8})
+    assert report.summary["fail"] == 0
+    walked = [m for ms in walks for m in ms]
+    assert set(range(1, 9)) <= set(walked)
+    assert len(walked) == len(set(walked)), walks
